@@ -16,9 +16,9 @@ from pathlib import Path
 
 from . import table as table_mod
 from .diagram import Diagram, parse_gauss, parse_pd, to_pd_text, writhe
-from .errors import ComputationError, InputError, KnotfishError
+from .errors import ComputationError, InputError
 from .generators import TorusParams, torus_pd, whitehead_pd
-from .jones import DEFAULT_CROSSING_CAP, InvariantPair, arf, jones, v2_v3
+from .jones import DEFAULT_CROSSING_CAP, InvariantPair, _pair_from_jones, arf, jones
 from .plots import emit_csv, emit_fish_svg, emit_torus_overlay_svg
 from .torus import pseudo_invariants, torus_report, torus_v2v3
 
@@ -73,11 +73,11 @@ def _load_table_arg(source: str):
 
 def _cmd_invariants(args) -> int:
     d = _parse_any_code(args.code)
-    cap = _crossing_cap(args)
-    pair = v2_v3(d, cap)
+    j = jones(d, _crossing_cap(args))
+    pair = _pair_from_jones(j)
     print(f"crossings: {d.crossing_count}")
     print(f"writhe: {writhe(d)}")
-    print(f"jones: {jones(d, cap)}")
+    print(f"jones: {j}")
     print(f"v2: {pair.v2}")
     print(f"v3: {pair.v3}")
     print(f"arf: {arf(pair)}")
@@ -87,6 +87,9 @@ def _cmd_invariants(args) -> int:
 def _cmd_table(args) -> int:
     records = table_mod.compute_all(_load_table_arg(args.file), _crossing_cap(args))
     did_something = False
+    if args.maxima or args.audit:
+        failed = sum(rec.invariants is None for rec in records)
+        print(f"records: {len(records) - failed} computed, {failed} failed")
     if args.maxima:
         did_something = True
         print("c  max|v2|  max|v3|  bound|v2|  bound|v3|")
@@ -267,9 +270,6 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ComputationError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
-    except KnotfishError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

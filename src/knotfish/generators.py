@@ -43,17 +43,21 @@ class TorusParams:
         return abs(self.p) == 1 or abs(self.q) == 1
 
 
+def _as_torus(t: TorusParams | tuple[int, int],
+              unknot_error: str | None = None) -> TorusParams:
+    """``t`` as TorusParams; with ``unknot_error``, the unknot raises
+    InputError with that message."""
+    t = t if isinstance(t, TorusParams) else TorusParams(*t)
+    if unknot_error is not None and t.is_unknot:
+        raise InputError(unknot_error)
+    return t
+
+
 @dataclass(frozen=True)
 class WhiteheadIndex:
     """Number of full twists; negative i means -i negative twists."""
 
     i: int
-
-
-def _as_torus(t) -> TorusParams:
-    if isinstance(t, TorusParams):
-        return t
-    return TorusParams(*t)
 
 
 def braid_closure(word: list[int], strands: int,

@@ -122,9 +122,8 @@ def jones(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly:
             "diagram is not a knot diagram or conventions are broken") from exc
 
 
-def v2_v3(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> InvariantPair:
-    """The Vassiliev invariants (v2, v3) via Jones derivatives at 1."""
-    j = jones(d, cap)
+def _pair_from_jones(j: LaurentPoly) -> InvariantPair:
+    """(v2, v3) from the derivatives at 1 of the Jones polynomial ``j``."""
     j2 = j.falling_factorial_sum(2)
     j3 = j.falling_factorial_sum(3)
     v2, rem = divmod(-j2, 6)
@@ -135,6 +134,11 @@ def v2_v3(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> InvariantPair:
         raise ExactnessError(
             f"v3 division not exact: J'''(1) = {j3}, J''(1) = {j2}")
     return InvariantPair(v2, v3)
+
+
+def v2_v3(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> InvariantPair:
+    """The Vassiliev invariants (v2, v3) via Jones derivatives at 1."""
+    return _pair_from_jones(jones(d, cap))
 
 
 def arf(pair: InvariantPair) -> int:

@@ -40,9 +40,6 @@ class LaurentPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
-
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         result = dict(self._terms)
         for e, c in other._terms.items():
@@ -105,12 +102,6 @@ class LaurentPoly:
                 )
             result[e // divisor] = self._terms[e]
         return LaurentPoly(result)
-
-    def min_exponent(self) -> int:
-        return min(self._terms)
-
-    def max_exponent(self) -> int:
-        return max(self._terms)
 
     def format(self, var: str = "q") -> str:
         """Render with terms in decreasing exponent order, e.g. ``-q^4 + q^3 + q``."""

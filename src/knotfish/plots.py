@@ -8,6 +8,8 @@ across the v2-axis, so fish scatters get a symmetric vertical range.
 
 from __future__ import annotations
 
+import csv
+import io
 import sys
 from dataclasses import dataclass, field
 from math import gcd
@@ -30,16 +32,19 @@ def _fmt(x: float) -> str:
     return "0" if out in ("-0", "-0.0") else out
 
 
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 @dataclass
 class PlotSpec:
-    """Points, curves, axis ranges, and destination of one plot."""
+    """Points, curves, axis ranges, and title of one plot."""
 
     points: list[tuple[float, float, str]] = field(default_factory=list)
     curves: list[tuple[str, list[tuple[float, float]]]] = field(default_factory=list)
     x_range: tuple[float, float] | None = None
     y_range: tuple[float, float] | None = None
     title: str = ""
-    output: Path | None = None
 
     def resolve_ranges(self) -> tuple[tuple[float, float], tuple[float, float]]:
         xs = [p[0] for p in self.points] + [x for _, pts in self.curves for x, _ in pts]
@@ -85,7 +90,8 @@ def _render_svg(spec: PlotSpec) -> str:
     ]
     if spec.title:
         parts.append(f'<text x="{_WIDTH // 2}" y="{_MARGIN - 16}" font-size="14" '
-                     f'text-anchor="middle" font-family="sans-serif">{spec.title}</text>')
+                     'text-anchor="middle" font-family="sans-serif">'
+                     f'{_xml_text(spec.title)}</text>')
     # zero axes when inside the frame
     if x0 < 0 < x1:
         parts.append(f'<line x1="{_fmt(sx(0))}" y1="{_MARGIN}" x2="{_fmt(sx(0))}" '
@@ -101,9 +107,9 @@ def _render_svg(spec: PlotSpec) -> str:
         color = _PALETTE[idx % len(_PALETTE)]
         d = "M " + " L ".join(f"{_fmt(sx(x))} {_fmt(sy(y))}" for x, y in pts)
         parts.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.2">'
-                     f'<title>{label}</title></path>')
+                     f'<title>{_xml_text(label)}</title></path>')
     for x, y, label in spec.points:
-        title = f"<title>{label}</title>" if label else ""
+        title = f"<title>{_xml_text(label)}</title>" if label else ""
         parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" '
                      f'fill="#1f77b4" fill-opacity="0.75" stroke="none">{title}</circle>')
     parts.append("</svg>")
@@ -111,21 +117,24 @@ def _render_svg(spec: PlotSpec) -> str:
 
 
 def emit_csv(records: list[KnotRecord], out: str | Path) -> Path:
-    """Write ``name,crossings,v2,v3`` rows in input order, LF endings.
+    """Write ``name,crossings,v2,v3`` rows in input order, LF endings;
+    names are quoted where CSV needs it.
 
     Records without computed invariants are skipped with a warning on
     stderr (they never corrupt the file).
     """
     out = Path(out)
-    lines = ["name,crossings,v2,v3"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("name", "crossings", "v2", "v3"))
     for rec in records:
         if rec.invariants is None:
             print(f"warning: skipping {rec.name}: no invariants"
                   + (f" ({rec.error})" if rec.error else ""), file=sys.stderr)
             continue
-        lines.append(f"{rec.name},{rec.crossing_number},"
-                     f"{rec.invariants.v2},{rec.invariants.v3}")
-    out.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        writer.writerow((rec.name, rec.crossing_number,
+                         rec.invariants.v2, rec.invariants.v3))
+    out.write_bytes(buf.getvalue().encode("utf-8"))
     return out
 
 
@@ -152,7 +161,7 @@ def emit_fish_svg(records: list[KnotRecord], crossing_number: int,
     return out
 
 
-def _torus_points_with_unknotting(u: int, limit: int = 4000):
+def _torus_points_with_unknotting(u: int):
     pts = []
     for a in range(1, 2 * u + 1):
         if (2 * u) % a:

@@ -102,6 +102,11 @@ def compute_all(records: list[KnotRecord],
     return out
 
 
+def _bounds(c: int) -> tuple[Fraction, Fraction]:
+    """The bounds c(c-1)/4 on |v2| and c(c-1)(c-2)/4 on |v3| at c crossings."""
+    return Fraction(c * (c - 1), 4), Fraction(c * (c - 1) * (c - 2), 4)
+
+
 def crossing_maxima(records: list[KnotRecord]) -> list[tuple[int, int, int, Fraction, Fraction]]:
     """Rows (c, max|v2|, max|v3|, bound_v2, bound_v3), one per crossing
     number present, bounds being c(c-1)/4 and c(c-1)(c-2)/4."""
@@ -116,8 +121,7 @@ def crossing_maxima(records: list[KnotRecord]) -> list[tuple[int, int, int, Frac
             c,
             max(abs(p.v2) for p in pairs),
             max(abs(p.v3) for p in pairs),
-            Fraction(c * (c - 1), 4),
-            Fraction(c * (c - 1) * (c - 2), 4),
+            *_bounds(c),
         ))
     return rows
 
@@ -125,18 +129,22 @@ def crossing_maxima(records: list[KnotRecord]) -> list[tuple[int, int, int, Frac
 def bound_audit(records: list[KnotRecord]) -> list[tuple[str, str]]:
     """Violations of |v2| <= c(c-1)/4, |v3| <= c(c-1)(c-2)/4, v2 <= c^2/8.
 
-    Expected empty; each violation reports the knot name and the rule.
+    Expected empty; each violation reports the knot name and the rule.  A
+    record without invariants is reported as ``not computed: <error>``, so
+    a failed computation never passes the audit.
     """
     violations = []
     for rec in records:
         if rec.invariants is None:
+            violations.append((rec.name, f"not computed: {rec.error}"))
             continue
         c = rec.crossing_number
         v2, v3 = rec.invariants.v2, rec.invariants.v3
-        if abs(v2) > Fraction(c * (c - 1), 4):
-            violations.append((rec.name, f"|v2| = {abs(v2)} > c(c-1)/4 = {Fraction(c*(c-1),4)}"))
-        if abs(v3) > Fraction(c * (c - 1) * (c - 2), 4):
-            violations.append((rec.name, f"|v3| = {abs(v3)} > c(c-1)(c-2)/4 = {Fraction(c*(c-1)*(c-2),4)}"))
+        b2, b3 = _bounds(c)
+        if abs(v2) > b2:
+            violations.append((rec.name, f"|v2| = {abs(v2)} > c(c-1)/4 = {b2}"))
+        if abs(v3) > b3:
+            violations.append((rec.name, f"|v3| = {abs(v3)} > c(c-1)(c-2)/4 = {b3}"))
         if v2 > Fraction(c * c, 8):
             violations.append((rec.name, f"v2 = {v2} > c^2/8 = {Fraction(c*c,8)}"))
     return violations
@@ -179,8 +187,7 @@ def printed_bound_check() -> list[tuple[int, str, Fraction, Fraction]]:
     """
     mismatches = []
     for c, (p2, p3) in sorted(PRINTED_BOUND_ROWS.items()):
-        f2 = Fraction(c * (c - 1), 4)
-        f3 = Fraction(c * (c - 1) * (c - 2), 4)
+        f2, f3 = _bounds(c)
         if f2 != p2:
             mismatches.append((c, "v2", f2, p2))
         if f3 != p3:

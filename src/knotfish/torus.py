@@ -3,9 +3,12 @@ crossing numbers, cubic bounds, recovery formulas, pseudo-invariants.
 
 Every inequality verdict here is exact: values are Fractions, and
 comparisons against k*sqrt(m) are resolved by sign analysis plus
-squaring, never by floating point.  Functions that return "real"
-quantities (crossing_recovery, pseudo_invariants) return exact ints when
-the radicands are perfect squares and floats otherwise.
+squaring, never by floating point.
+
+Int-or-float rule: the "real" quantities (crossing_recovery and both
+pseudo-invariants) are exact ints when both radicands (rho+1)^2 - 24 v2
+and (rho-1)^2 - 24 v2 are perfect squares and the value is an integer;
+otherwise they are floats.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 
 from .errors import (ComputationError, ConditionError, InputError,
                      NoIntegerRootError, RadicandError)
-from .generators import TorusParams
+from .generators import TorusParams, _as_torus
 from .jones import InvariantPair
 
 __all__ = [
@@ -26,10 +29,6 @@ __all__ = [
     "rho", "crossing_recovery", "check_crossing_quartic", "check_crossing_bounds",
     "pseudo_invariants", "torus_curve_samples", "torus_report",
 ]
-
-
-def _as_params(t) -> TorusParams:
-    return t if isinstance(t, TorusParams) else TorusParams(*t)
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -69,19 +68,15 @@ def _cmp_to_root(lhs: Fraction, coeff: Fraction, radicand: Fraction) -> int:
     return side if lhs > 0 else -side
 
 
-def _root_value(f: Fraction) -> int | float:
-    """sqrt as exact int when possible, else float."""
-    exact = _sqrt_exact(f)
-    if exact is not None and exact.denominator == 1:
-        return int(exact)
-    return math.sqrt(f)
+def _int_or_float(x: Fraction) -> int | float:
+    return int(x) if x.denominator == 1 else float(x)
 
 
 # -- closed forms -----------------------------------------------------------
 
 def torus_v2v3(t: TorusParams | tuple[int, int]) -> InvariantPair:
     """v2 = (p^2-1)(q^2-1)/24,  v3 = pq(p^2-1)(q^2-1)/144 (exact)."""
-    t = _as_params(t)
+    t = _as_torus(t)
     p, q = t.p, t.q
     prod = (p * p - 1) * (q * q - 1)
     v2 = _exact_div(prod, 24, "torus v2")
@@ -91,15 +86,14 @@ def torus_v2v3(t: TorusParams | tuple[int, int]) -> InvariantPair:
 
 def torus_unknotting(t: TorusParams | tuple[int, int]) -> int:
     """u = (|p|-1)(|q|-1)/2."""
-    t = _as_params(t)
+    t = _as_torus(t)
     return (abs(t.p) - 1) * (abs(t.q) - 1) // 2
 
 
 def torus_crossing(t: TorusParams | tuple[int, int]) -> int:
     """c = |q|(|p|-1) after sorting so |p| < |q|; rejects the unknot."""
-    t = _as_params(t)
-    if t.is_unknot:
-        raise InputError("crossing-number formula does not apply to the unknot")
+    t = _as_torus(
+        t, unknot_error="crossing-number formula does not apply to the unknot")
     p, q = sorted((abs(t.p), abs(t.q)))
     return q * (p - 1)
 
@@ -151,13 +145,13 @@ def unknotting_from_invariants(pair: InvariantPair) -> int:
     """
     if pair.v2 == 0:
         raise NoIntegerRootError("relation degenerate: v2 = 0")
-    # u^2 - (1 + 6|v3|/v2) u + 6 v2 = 0
-    b = 1 + Fraction(6 * abs(pair.v3), pair.v2)
-    disc = b * b - 24 * pair.v2
+    # u^2 - (1 + rho) u + 6 v2 = 0 for v2 > 0.  For v2 < 0 the product of
+    # the roots, 6 v2, is negative, so the smaller root is never positive.
+    r, disc, _ = _radicands(pair)
     root = _sqrt_exact(disc)
     if root is None:
         raise NoIntegerRootError(f"discriminant {disc} is not a perfect square")
-    u = (b - root) / 2
+    u = (1 + r - root) / 2
     if u.denominator != 1 or u <= 0:
         raise NoIntegerRootError(f"smaller root {u} is not a positive integer")
     return int(u)
@@ -183,9 +177,7 @@ class UnknottingBoundsReport:
 
 
 def check_unknotting_bounds(t: TorusParams | tuple[int, int]) -> UnknottingBoundsReport:
-    t = _as_params(t)
-    if t.is_unknot:
-        raise InputError("bounds apply to nontrivial torus knots")
+    t = _as_torus(t, unknot_error="bounds apply to nontrivial torus knots")
     v2 = Fraction(torus_v2v3(t).v2)
     u = torus_unknotting(t)
     left = Fraction(u * (u + 1), 2) - v2                      # >= 0
@@ -213,31 +205,27 @@ def rho(pair: InvariantPair) -> Fraction:
     return abs(Fraction(6 * pair.v3, pair.v2))
 
 
-def crossing_recovery(pair: InvariantPair) -> int | float:
-    """c = rho - (sqrt((rho-1)^2 - 24 v2) + sqrt((rho+1)^2 - 24 v2)) / 2.
-
-    Exact integer on torus pairs (perfect-square radicands), float otherwise.
-    """
+def _radicands(pair: InvariantPair) -> tuple[Fraction, Fraction, Fraction]:
+    """rho and the recovery radicands (rho+1)^2 - 24 v2, (rho-1)^2 - 24 v2."""
     r = rho(pair)
-    rad1 = (r - 1) ** 2 - 24 * pair.v2
-    rad2 = (r + 1) ** 2 - 24 * pair.v2
-    if rad1 < 0 or rad2 < 0:
+    return r, (r + 1) ** 2 - 24 * pair.v2, (r - 1) ** 2 - 24 * pair.v2
+
+
+def crossing_recovery(pair: InvariantPair) -> int | float:
+    """c = rho - (sqrt((rho-1)^2 - 24 v2) + sqrt((rho+1)^2 - 24 v2)) / 2."""
+    r, rad_plus, rad_minus = _radicands(pair)
+    if rad_plus < 0 or rad_minus < 0:
         raise RadicandError("crossing recovery radicand negative")
-    s1 = _sqrt_exact(rad1)
-    s2 = _sqrt_exact(rad2)
-    if s1 is not None and s2 is not None:
-        c = r - (s1 + s2) / 2
-        if c.denominator == 1:
-            return int(c)
-        return float(c)
-    return float(r) - (math.sqrt(rad1) + math.sqrt(rad2)) / 2
+    s_plus = _sqrt_exact(rad_plus)
+    s_minus = _sqrt_exact(rad_minus)
+    if s_plus is not None and s_minus is not None:
+        return _int_or_float(r - (s_minus + s_plus) / 2)
+    return float(r) - (math.sqrt(rad_minus) + math.sqrt(rad_plus)) / 2
 
 
 def check_crossing_quartic(t: TorusParams | tuple[int, int]) -> bool:
     """Exact check of 24 v2 (c-rho)^2 = c((c-rho)^2 - 1)(2 rho - c)."""
-    t = _as_params(t)
-    if t.is_unknot:
-        raise InputError("quartic applies to nontrivial torus knots")
+    t = _as_torus(t, unknot_error="quartic applies to nontrivial torus knots")
     pair = torus_v2v3(t)
     c = torus_crossing(t)
     r = rho(pair)
@@ -273,9 +261,7 @@ class CrossingBoundsReport:
 
 
 def check_crossing_bounds(t: TorusParams | tuple[int, int]) -> CrossingBoundsReport:
-    t = _as_params(t)
-    if t.is_unknot:
-        raise InputError("bounds apply to nontrivial torus knots")
+    t = _as_torus(t, unknot_error="bounds apply to nontrivial torus knots")
     v2 = Fraction(torus_v2v3(t).v2)
     c = torus_crossing(t)
     left = Fraction(c * c - 1, 8) - v2                        # >= 0
@@ -309,23 +295,12 @@ def pseudo_invariants(pair: InvariantPair) -> tuple[int | float, int | float]:
     if (6 * abs(pair.v3) - abs(pair.v2)) ** 2 < 24 * pair.v2 ** 3:
         raise ConditionError(
             f"(6|v3|-|v2|)^2 >= 24 v2^3 fails for {tuple(pair)}")
-    r = rho(pair)
-    rad1 = (1 + r) ** 2 - 24 * pair.v2
-    rad2 = (1 - r) ** 2 - 24 * pair.v2
-    if rad1 < 0 or rad2 < 0:
-        raise RadicandError("pseudo-invariant radicand negative")
-    s1 = _sqrt_exact(rad1)
-    s2 = _sqrt_exact(rad2)
-    if s1 is not None and s2 is not None:
-        u = (1 + r - s1) / 2
-        c = r - (s1 + s2) / 2
-        u_out = int(u) if u.denominator == 1 else float(u)
-        c_out = int(c) if c.denominator == 1 else float(c)
-        return u_out, c_out
-    fr = float(r)
-    f1 = math.sqrt(rad1)
-    f2 = math.sqrt(rad2)
-    return (1 + fr - f1) / 2, fr - (f1 + f2) / 2
+    c = crossing_recovery(pair)   # first: a negative radicand raises here
+    r, rad_plus, rad_minus = _radicands(pair)
+    s_plus = _sqrt_exact(rad_plus)
+    if s_plus is not None and _sqrt_exact(rad_minus) is not None:
+        return _int_or_float((1 + r - s_plus) / 2), c
+    return (1 + float(r) - math.sqrt(rad_plus)) / 2, c
 
 
 # -- curve sampling (fish-plot overlays) ------------------------------------
@@ -398,9 +373,7 @@ class TorusReport:
 
 
 def torus_report(t: TorusParams | tuple[int, int]) -> TorusReport:
-    t = _as_params(t)
-    if t.is_unknot:
-        raise InputError("report applies to nontrivial torus knots")
+    t = _as_torus(t, unknot_error="report applies to nontrivial torus knots")
     pair = torus_v2v3(t)
     return TorusReport(
         params=t,

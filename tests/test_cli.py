@@ -1,6 +1,9 @@
+import importlib
+
 from conftest import TREFOIL_GAUSS, TREFOIL_PD
 from knotfish.cli import cli_main
-from knotfish.diagram import parse_pd
+from knotfish.diagram import parse_pd, to_pd_text
+from knotfish.generators import torus_pd
 from knotfish.jones import v2_v3
 from knotfish.table import bundled_table_path
 
@@ -36,6 +39,23 @@ def test_invariants_from_file(capsys, tmp_path):
     code, out, _ = run(capsys, "invariants", str(path))
     assert code == 0
     assert "v3: 1" in out
+
+
+def test_invariants_runs_the_state_sum_once(capsys, monkeypatch):
+    # the package re-exports the function jones, so fetch the module itself
+    jones_module = importlib.import_module("knotfish.jones")
+    bracket = jones_module.kauffman_bracket
+    calls = []
+
+    def counting_bracket(d, *args):
+        calls.append(d.crossing_count)
+        return bracket(d, *args)
+
+    monkeypatch.setattr(jones_module, "kauffman_bracket", counting_bracket)
+    code, out, _ = run(capsys, "invariants", to_pd_text(torus_pd((3, 5))))
+    assert code == 0
+    assert "v2: 8" in out and "v3: 20" in out
+    assert calls == [10]
 
 
 def test_invariants_garbage_is_input_error(capsys):
@@ -81,6 +101,18 @@ def test_table_maxima_and_audit(capsys):
     assert "4_1 (even)" in out
     # printed-vs-formula discrepancy notes surface
     assert out.count("note:") == 3
+
+
+def test_table_audit_fails_records_over_the_cap(capsys):
+    code, out, _ = run(capsys, "table", "bundled", "--maxima", "--audit",
+                       "--cap", "8")
+    assert code == 2
+    assert "records: 9 computed, 4 failed" in out.splitlines()
+    assert "no violations" not in out
+    failed = [line.split()[1] for line in out.splitlines()
+              if line.startswith("VIOLATION")]
+    assert failed == ["9_1:", "9_2:", "10_1:", "10_124:"]
+    assert "not computed: 9 crossings exceeds the state-sum cap of 8" in out
 
 
 def test_table_csv(capsys, tmp_path):

@@ -1,11 +1,18 @@
 import csv
+import io
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from knotfish.diagram import parse_pd
 from knotfish.errors import InputError
 from knotfish.jones import InvariantPair
-from knotfish.plots import PlotSpec, emit_csv, emit_fish_svg, emit_torus_overlay_svg
+from knotfish.plots import (PlotSpec, _render_svg, emit_csv, emit_fish_svg,
+                            emit_torus_overlay_svg)
 from knotfish.table import KnotRecord
 
 from conftest import TREFOIL_PD
@@ -96,3 +103,27 @@ def test_plot_spec_explicit_range_must_contain_points():
     spec = PlotSpec(points=[(5.0, 1.0, "x")], x_range=(0.0, 1.0))
     with pytest.raises(InputError):
         spec.resolve_ranges()
+
+
+# Printable names (str.isprintable's categories) without tab or newline,
+# with the characters CSV and XML treat specially drawn often.
+_names = st.text(st.one_of(
+    st.sampled_from('&<>,"\' '),
+    st.characters(exclude_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs"))),
+    min_size=1)
+
+
+@given(st.lists(_names, min_size=1, max_size=3, unique=True))
+def test_emitters_escape_arbitrary_names(names):
+    trefoil = parse_pd(TREFOIL_PD)
+    recs = [KnotRecord(n, 3, trefoil, InvariantPair(1, 1)) for n in names]
+    with tempfile.TemporaryDirectory() as tmp:
+        text = emit_csv(recs, Path(tmp) / "t.csv").read_text(encoding="utf-8")
+        svg = emit_fish_svg(recs, 3, Path(tmp) / "t.svg").read_bytes()
+    assert list(csv.reader(io.StringIO(text))) == (
+        [["name", "crossings", "v2", "v3"]] + [[n, "3", "1", "1"] for n in names])
+    titles = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}title")]
+    assert sorted(titles) == sorted(names + [f"mirror({n})" for n in names])
+    heading = ET.fromstring(_render_svg(PlotSpec(title=names[0]))).find(
+        "{http://www.w3.org/2000/svg}text")
+    assert heading.text == names[0]

@@ -121,6 +121,8 @@ def test_bound_audit_flags_synthetic_violation():
     assert any("c(c-1)/4" in rule for _, rule in violations)
     ok = KnotRecord("4_99", 4, trefoil, invariants=InvariantPair(1, 0))
     assert bound_audit([ok]) == []
+    failed = KnotRecord("9_99", 9, trefoil, error="cap hit")
+    assert bound_audit([ok, failed]) == [("9_99", "not computed: cap hit")]
 
 
 def test_amphicheiral_candidates(bundled_computed, by_name):

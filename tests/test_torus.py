@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import gcd, sqrt
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from knotfish.errors import (ComputationError, ConditionError, InputError,
                              NoIntegerRootError)
@@ -200,3 +202,40 @@ def test_curve_samples_invalid():
         torus_curve_samples("crossing", 2, 5)
     with pytest.raises(InputError):
         torus_curve_samples("nope", 1, 5)
+
+
+def _torus_pair(pq, mirrored):
+    pair = torus_v2v3(pq)
+    return InvariantPair(pair.v2, -pair.v3 if mirrored else pair.v3)
+
+
+# Integer pairs near the origin, plus torus pairs and their mirrors so that
+# the recovery formulas also return (most small pairs make them raise).
+_coprime = st.tuples(st.integers(2, 30), st.integers(3, 60)).filter(
+    lambda t: t[0] < t[1] and gcd(*t) == 1)
+_pairs = st.one_of(
+    st.builds(InvariantPair, st.integers(-60, 60), st.integers(-400, 400)),
+    st.builds(_torus_pair, _coprime, st.booleans()))
+
+
+def _outcome(f, pair):
+    try:
+        return f(pair)
+    except ComputationError:
+        return None
+
+
+@given(_pairs)
+def test_pseudo_crossing_is_crossing_recovery(pair):
+    pseudo = _outcome(pseudo_invariants, pair)
+    if pseudo is not None:
+        c = crossing_recovery(pair)
+        assert pseudo[1] == c and type(pseudo[1]) is type(c)
+
+
+@given(_pairs)
+def test_unknotting_recovery_is_pseudo_unknotting(pair):
+    u = _outcome(unknotting_from_invariants, pair)
+    pseudo = _outcome(pseudo_invariants, pair)
+    if u is not None and pseudo is not None:
+        assert u == pseudo[0] and type(pseudo[0]) is int
