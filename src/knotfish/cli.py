@@ -50,7 +50,7 @@ def _parse_any_code(text: str) -> Diagram:
         return parse_gauss(stripped)
     path = Path(stripped)
     if path.is_file():
-        return _parse_any_code(path.read_text(encoding="utf-8").strip())
+        return _parse_any_code(table_mod.read_utf8(path).strip())
     raise InputError(
         f"cannot interpret {text!r}: not a PD code, Gauss code, or readable file")
 
@@ -184,14 +184,15 @@ def _parse_int_list(text: str) -> list[int]:
         item = item.strip()
         if not item:
             continue
-        if ".." in item:
-            lo_s, hi_s = item.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise InputError(f"empty range {item!r}")
-            values.extend(range(lo, hi + 1))
-        else:
-            values.append(int(item))
+        lo_s, dots, hi_s = item.partition("..")
+        try:
+            lo = int(lo_s)
+            hi = int(hi_s) if dots else lo
+        except ValueError as exc:
+            raise InputError(f"{item!r} is not an integer or an a..b range") from exc
+        if hi < lo:
+            raise InputError(f"empty range {item!r}")
+        values.extend(range(lo, hi + 1))
     return values
 
 
@@ -270,7 +271,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ComputationError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -65,9 +65,12 @@ class Diagram:
 
     Instances are immutable; all operations on them are pure functions.
     Equality compares the crossing tuples (names are labels, not content).
+    The one exception to immutability is ``_jones``, a cache that
+    ``knotfish.jones.jones`` fills on first success so that the state sum
+    runs at most once per diagram; equality and hashing ignore it.
     """
 
-    __slots__ = ("crossings", "edge_count", "name", "_visits")
+    __slots__ = ("crossings", "edge_count", "name", "_visits", "_jones")
 
     def __init__(self, crossings: tuple[Crossing, ...], edge_count: int,
                  name: str | None, visits: tuple[tuple[int, bool], ...]):
@@ -75,6 +78,7 @@ class Diagram:
         object.__setattr__(self, "edge_count", edge_count)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_visits", visits)
+        object.__setattr__(self, "_jones", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Diagram is immutable")
@@ -247,7 +251,10 @@ def parse_pd(text: str, name: str | None = None) -> Diagram:
         m = _PD_TOKEN.match(body, pos)
         if not m:
             raise PDSyntaxError("expected 'X(i,j,k,l)'", pos + 3)
-        tuples.append(tuple(int(g) for g in m.groups()))
+        try:
+            tuples.append(tuple(int(g) for g in m.groups()))
+        except ValueError as exc:   # more digits than int() converts
+            raise PDSyntaxError("edge label too long", pos + 3) from exc
         pos = m.end()
         if pos < len(body):
             if body[pos] != ",":
@@ -291,7 +298,12 @@ def parse_gauss(text: str, name: str | None = None) -> Diagram:
         if not m:
             raise GaussSyntaxError(
                 f"unexpected token at position {pos}: {stripped[pos:pos+8]!r}")
-        entries.append((int(m.group(2)), m.group(1) == "O",
+        try:
+            cid = int(m.group(2))
+        except ValueError as exc:   # more digits than int() converts
+            raise GaussSyntaxError(
+                f"crossing id too long at position {pos}") from exc
+        entries.append((cid, m.group(1) == "O",
                         1 if m.group(3) == "+" else -1))
         pos = m.end()
     return gauss_to_diagram(GaussCode(tuple(entries)), name)

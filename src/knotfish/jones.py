@@ -14,6 +14,12 @@ conventions of this module that pins the exponent divisor to -4 (the
 anchor test in the suite guards the choice).  The derivative formulas
   v2 = -J''(1)/6        v3 = -(J'''(1) + 3 J''(1))/36
 then yield integers; a non-exact division is a hard error, never rounded.
+
+A diagram runs its state sum at most once: ``jones`` keeps the Jones
+polynomial on the Diagram the first time it succeeds and returns it from
+there after that, so ``v2_v3`` and ``jones`` on one diagram share one
+state sum.  The crossing cap is still checked on every call, before the
+cache is read; a call that raises leaves nothing cached.
 """
 
 from __future__ import annotations
@@ -46,19 +52,26 @@ class InvariantPair:
         return iter((self.v2, self.v3))
 
 
+def _check_cap(d: Diagram, cap: int) -> None:
+    """Raise CrossingLimitError if ``d`` has more than ``cap`` crossings;
+    the unknot passes any cap."""
+    n = d.crossing_count
+    if n and n > cap:
+        raise CrossingLimitError(
+            f"{n} crossings exceeds the state-sum cap of {cap}; "
+            "raise the cap to proceed (2^c states)")
+
+
 def kauffman_bracket(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly:
     """Bracket polynomial in A by brute-force state sum.
 
     The unknot (no crossings) returns 1.  Raises CrossingLimitError above
     ``cap`` crossings (2^c states; raise the cap knowingly).
     """
+    _check_cap(d, cap)
     n = d.crossing_count
     if n == 0:
         return ONE
-    if n > cap:
-        raise CrossingLimitError(
-            f"{n} crossings exceeds the state-sum cap of {cap}; "
-            "raise the cap to proceed (2^c states)")
     ne = d.edge_count
 
     joins = []
@@ -110,16 +123,23 @@ def kauffman_bracket(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly
 
 
 def jones(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly:
-    """Jones polynomial in q, normalized so the unknot maps to 1."""
-    br = kauffman_bracket(d, cap)
-    w = writhe(d)
-    f = br * mono(-1 if w % 2 else 1, -3 * w)
-    try:
-        return f.reindex_exponents(_JONES_REINDEX)
-    except IndivisibleExponentError as exc:
-        raise ExactnessError(
-            "normalized bracket exponents not divisible by 4; "
-            "diagram is not a knot diagram or conventions are broken") from exc
+    """Jones polynomial in q, normalized so the unknot maps to 1.
+
+    Computed once per diagram and kept on it; the cap is checked first on
+    every call, so a cached diagram above ``cap`` still raises.
+    """
+    _check_cap(d, cap)
+    if d._jones is None:
+        w = writhe(d)
+        f = kauffman_bracket(d, cap) * mono(-1 if w % 2 else 1, -3 * w)
+        try:
+            j = f.reindex_exponents(_JONES_REINDEX)
+        except IndivisibleExponentError as exc:
+            raise ExactnessError(
+                "normalized bracket exponents not divisible by 4; "
+                "diagram is not a knot diagram or conventions are broken") from exc
+        object.__setattr__(d, "_jones", j)
+    return d._jones
 
 
 def _pair_from_jones(j: LaurentPoly) -> InvariantPair:

@@ -116,6 +116,11 @@ def _render_svg(spec: PlotSpec) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _warn_skipped(rec: KnotRecord) -> None:
+    print(f"warning: skipping {rec.name}: no invariants"
+          + (f" ({rec.error})" if rec.error else ""), file=sys.stderr)
+
+
 def emit_csv(records: list[KnotRecord], out: str | Path) -> Path:
     """Write ``name,crossings,v2,v3`` rows in input order, LF endings;
     names are quoted where CSV needs it.
@@ -129,8 +134,7 @@ def emit_csv(records: list[KnotRecord], out: str | Path) -> Path:
     writer.writerow(("name", "crossings", "v2", "v3"))
     for rec in records:
         if rec.invariants is None:
-            print(f"warning: skipping {rec.name}: no invariants"
-                  + (f" ({rec.error})" if rec.error else ""), file=sys.stderr)
+            _warn_skipped(rec)
             continue
         writer.writerow((rec.name, rec.crossing_number,
                          rec.invariants.v2, rec.invariants.v3))
@@ -144,11 +148,15 @@ def emit_fish_svg(records: list[KnotRecord], crossing_number: int,
 
     Tables store one chirality per knot, so by default each record also
     contributes its mirror point (v2, -v3); pass include_mirrors=False
-    to plot the stored chirality only.
+    to plot the stored chirality only.  Records with that crossing number
+    but without computed invariants are skipped with a warning on stderr.
     """
     pts = []
     for rec in records:
-        if rec.crossing_number != crossing_number or rec.invariants is None:
+        if rec.crossing_number != crossing_number:
+            continue
+        if rec.invariants is None:
+            _warn_skipped(rec)
             continue
         v2, v3 = rec.invariants.v2, rec.invariants.v3
         pts.append((float(v2), float(v3), rec.name))

@@ -42,9 +42,12 @@ class KnotRecord:
 
 def _crossing_number_from_name(name: str) -> int:
     head = name.split("_", 1)[0]
-    if not head.isdigit():
-        raise InputError(f"record name {name!r} does not start with a crossing number")
-    return int(head)
+    if head.isdecimal():
+        try:
+            return int(head)
+        except ValueError:      # more digits than int() converts
+            pass
+    raise InputError(f"record name {name!r} does not start with a crossing number")
 
 
 def _parse_table_text(text: str, origin: str) -> list[KnotRecord]:
@@ -73,7 +76,15 @@ def _parse_table_text(text: str, origin: str) -> list[KnotRecord]:
 def load_table(source: str | Path) -> list[KnotRecord]:
     """Parse and validate a knot-table file; errors carry line numbers."""
     path = Path(source)
-    return _parse_table_text(path.read_text(encoding="utf-8"), str(path))
+    return _parse_table_text(read_utf8(path), str(path))
+
+
+def read_utf8(path: Path) -> str:
+    """Text of the file at ``path``; bytes that are not UTF-8 raise InputError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def bundled_table_path() -> Path:

@@ -1,6 +1,7 @@
-import importlib
+import pytest
 
-from conftest import TREFOIL_GAUSS, TREFOIL_PD
+from conftest import TREFOIL_GAUSS, TREFOIL_PD, count_bracket_calls
+from knotfish import cli
 from knotfish.cli import cli_main
 from knotfish.diagram import parse_pd, to_pd_text
 from knotfish.generators import torus_pd
@@ -42,16 +43,7 @@ def test_invariants_from_file(capsys, tmp_path):
 
 
 def test_invariants_runs_the_state_sum_once(capsys, monkeypatch):
-    # the package re-exports the function jones, so fetch the module itself
-    jones_module = importlib.import_module("knotfish.jones")
-    bracket = jones_module.kauffman_bracket
-    calls = []
-
-    def counting_bracket(d, *args):
-        calls.append(d.crossing_count)
-        return bracket(d, *args)
-
-    monkeypatch.setattr(jones_module, "kauffman_bracket", counting_bracket)
+    calls = count_bracket_calls(monkeypatch)
     code, out, _ = run(capsys, "invariants", to_pd_text(torus_pd((3, 5))))
     assert code == 0
     assert "v2: 8" in out and "v3: 20" in out
@@ -135,6 +127,18 @@ def test_plot_subcommand(capsys, tmp_path):
     assert target.exists()
 
 
+def test_plot_warns_about_records_it_skips(capsys, tmp_path):
+    target = tmp_path / "fish9.svg"
+    code, out, err = run(capsys, "plot", "bundled", "--crossing", "9",
+                         "--cap", "8", "--svg", str(target))
+    assert code == 0
+    assert target.read_text().count("<circle") == 0
+    skipped = [line.split()[2] for line in err.splitlines()
+               if line.startswith("warning: skipping")]
+    assert skipped == ["9_1:", "9_2:"]
+    assert "9 crossings exceeds the state-sum cap of 8" in err
+
+
 def test_torus_report(capsys):
     code, out, _ = run(capsys, "torus", "2", "7", "--report")
     assert code == 0
@@ -208,3 +212,39 @@ def test_curves_range_syntax(capsys, tmp_path):
 def test_usage_error_is_exit_1(capsys):
     code, _, err = run(capsys, "no-such-command")
     assert code == 1
+
+
+TREFOIL_ROW = "3_1\t" + TREFOIL_PD + "\n"
+LONG = "1" * 5000       # more digits than int() converts
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["invariants", "{knot}"], {"knot": TREFOIL_PD.encode() + b"\xff\n"}),
+    (["table", "{table}"], {"table": TREFOIL_ROW.encode() + b"\xe9\n"}),
+    (["table", "{table}"], {"table": ("\u00b2_1\t" + TREFOIL_PD).encode()}),
+    (["table", "{table}"], {"table": (LONG + "_1\t" + TREFOIL_PD).encode()}),
+    (["invariants", f"PD[X({LONG},4,2,5)]"], {}),
+    (["invariants", f"O{LONG}+U{LONG}+"], {}),
+    (["curves", "--unknotting", "x", "--svg", "{svg}"], {}),
+    (["curves", "--crossing", "3,1..x", "--svg", "{svg}"], {}),
+], ids=["code-not-utf8", "table-not-utf8", "table-superscript-name",
+        "table-long-name", "pd-long-label", "gauss-long-id",
+        "unknotting-not-int", "crossing-range-not-int"])
+def test_bad_user_input_is_input_error(capsys, tmp_path, argv, files):
+    paths = {"svg": tmp_path / "out.svg"}
+    for key, data in files.items():
+        paths[key] = tmp_path / key
+        paths[key].write_bytes(data)
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not (tmp_path / "out.svg").exists()
+
+
+def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
+    def broken(pair):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "pseudo_invariants", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli_main(["pseudo", "1", "1"])

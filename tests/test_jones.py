@@ -1,11 +1,12 @@
 import pytest
 
-from conftest import TREFOIL_GAUSS, TREFOIL_PD
-from knotfish.diagram import Diagram, connect_sum, mirror, parse_gauss, parse_pd
-from knotfish.errors import CrossingLimitError
+from conftest import TREFOIL_GAUSS, TREFOIL_PD, count_bracket_calls, jones_module
+from knotfish.diagram import (Diagram, connect_sum, mirror, parse_gauss,
+                              parse_pd, writhe)
+from knotfish.errors import CrossingLimitError, ExactnessError
 from knotfish.generators import torus_pd, whitehead_pd
 from knotfish.jones import InvariantPair, arf, jones, kauffman_bracket, v2_v3
-from knotfish.laurent import LaurentPoly
+from knotfish.laurent import LaurentPoly, mono
 
 
 def bracket_oracle(d):
@@ -64,10 +65,20 @@ def bracket_oracle(d):
     return {e: c for e, c in poly.items() if c}
 
 
+def jones_from_oracle(d):
+    """The oracle's bracket times (-A^3)^(-writhe), read in q = A^(-4)."""
+    w = writhe(d)
+    sign = -1 if w % 2 else 1
+    out = {}
+    for e, c in bracket_oracle(d).items():
+        assert (e - 3 * w) % 4 == 0
+        out[(e - 3 * w) // -4] = sign * c
+    return out
+
+
 FIG8_PD = "PD[X(1,7,2,6),X(5,3,6,2),X(3,8,4,1),X(7,4,8,5)]"
 
-
-@pytest.mark.parametrize("build", [
+ORACLE_DIAGRAMS = pytest.mark.parametrize("build", [
     lambda: parse_pd(TREFOIL_PD),
     lambda: parse_pd(FIG8_PD),
     lambda: parse_pd("PD[X(1,2,2,1)]"),
@@ -79,9 +90,20 @@ FIG8_PD = "PD[X(1,7,2,6),X(5,3,6,2),X(3,8,4,1),X(7,4,8,5)]"
     lambda: mirror(torus_pd((2, 5))),
 ], ids=["trefoil", "fig8", "kink+", "kink-", "T25", "T34", "Wh2", "Wh-2",
         "mirrorT25"])
+
+
+@ORACLE_DIAGRAMS
 def test_bracket_matches_independent_oracle(build):
     d = build()
     assert kauffman_bracket(d).terms == bracket_oracle(d)
+
+
+@ORACLE_DIAGRAMS
+def test_cached_jones_matches_oracle(build):
+    d = build()
+    expected = jones_from_oracle(d)
+    assert jones(d).terms == expected       # computed
+    assert jones(d).terms == expected       # from the cache
 
 
 def test_trefoil_bracket_frozen():
@@ -154,9 +176,50 @@ def test_connect_sum_additivity_and_multiplicativity():
 
 def test_crossing_cap():
     d = torus_pd((2, 5))
-    with pytest.raises(CrossingLimitError, match="cap"):
+    with pytest.raises(CrossingLimitError, match="cap") as uncached:
         kauffman_bracket(d, cap=4)
     assert tuple(v2_v3(d, cap=5)) == (3, 5)
+    # the Jones polynomial of d is cached now; the cap still applies
+    for call in (jones, v2_v3):
+        with pytest.raises(CrossingLimitError, match="cap") as cached:
+            call(d, cap=4)
+        assert str(cached.value) == str(uncached.value)
+
+
+def test_state_sum_runs_once_per_diagram(monkeypatch):
+    calls = count_bracket_calls(monkeypatch)
+    d = torus_pd((3, 4))
+    assert tuple(v2_v3(d)) == (5, 10)
+    j = jones(d)
+    assert calls == [8]
+    assert jones(d) is j
+    assert tuple(v2_v3(d)) == (5, 10)
+    assert calls == [8]
+
+
+def test_cache_is_invisible_to_equality():
+    cached, fresh = torus_pd((3, 4)), torus_pd((3, 4))
+    jones(cached)
+    assert cached._jones is not None and fresh._jones is None
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert len({cached, fresh}) == 1
+    assert jones(fresh) == jones(cached)
+
+
+def test_failed_call_caches_nothing(monkeypatch):
+    d = torus_pd((2, 5))
+    with pytest.raises(CrossingLimitError):
+        jones(d, cap=4)
+    assert d._jones is None
+    # a bracket whose exponents cannot be normalized
+    monkeypatch.setattr(jones_module, "kauffman_bracket", lambda d, *args: mono(1, 1))
+    with pytest.raises(ExactnessError):
+        jones(d)
+    assert d._jones is None
+    monkeypatch.undo()
+    calls = count_bracket_calls(monkeypatch)
+    assert tuple(v2_v3(d)) == (3, 5)
+    assert calls == [5]
 
 
 def test_jones_is_a_laurent_poly():
