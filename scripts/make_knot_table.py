@@ -4,8 +4,11 @@
 Every bundled diagram is produced by the package's own torus-braid and
 twist-ladder constructors, so each row's identity is a mathematical fact
 of the construction (torus knots T(2,q)/T(3,q) and the twist-knot family)
-rather than transcribed table data.  Knots outside these families have no
-offline source in this environment; see the README data note.
+rather than transcribed table data.  Each row's (v2, v3) is checked twice,
+by the Gauss-diagram formulas of ``v2_v3`` and by the derivatives of the
+state-sum Jones polynomial, so the two methods cross-check each other.
+Knots outside these families have no offline source in this environment;
+see the README data note.
 
 Run from the repository root:  python scripts/make_knot_table.py
 """
@@ -17,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from knotfish import to_pd_text, torus_pd, v2_v3, whitehead_pd  # noqa: E402
 from knotfish.generators import _hook_diagram  # noqa: E402
+from knotfish.jones import _pair_from_jones, jones  # noqa: E402
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "knotfish" / "data" / "knots_upto10.txt"
 
@@ -55,6 +59,9 @@ def main() -> int:
         got = tuple(v2_v3(d))
         if got != expected:
             raise SystemExit(f"{name}: v2,v3 = {got}, want {expected}")
+        via_jones = tuple(_pair_from_jones(jones(d)))
+        if via_jones != expected:
+            raise SystemExit(f"{name}: v2,v3 from Jones = {via_jones}, want {expected}")
         lines.append(f"{name}\t{to_pd_text(d)}")
         print(f"{name:7s} {d.crossing_count:2d} crossings  (v2,v3)={got}")
     OUT.parent.mkdir(parents=True, exist_ok=True)

@@ -65,12 +65,9 @@ class Diagram:
 
     Instances are immutable; all operations on them are pure functions.
     Equality compares the crossing tuples (names are labels, not content).
-    The one exception to immutability is ``_jones``, a cache that
-    ``knotfish.jones.jones`` fills on first success so that the state sum
-    runs at most once per diagram; equality and hashing ignore it.
     """
 
-    __slots__ = ("crossings", "edge_count", "name", "_visits", "_jones")
+    __slots__ = ("crossings", "edge_count", "name", "_visits")
 
     def __init__(self, crossings: tuple[Crossing, ...], edge_count: int,
                  name: str | None, visits: tuple[tuple[int, bool], ...]):
@@ -78,7 +75,6 @@ class Diagram:
         object.__setattr__(self, "edge_count", edge_count)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_visits", visits)
-        object.__setattr__(self, "_jones", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Diagram is immutable")

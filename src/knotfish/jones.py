@@ -1,4 +1,5 @@
-"""Kauffman bracket state sum, Jones normalization, and v2/v3 extraction.
+"""Kauffman bracket state sum, Jones normalization, and (v2, v3) by
+Gauss-diagram formulas.
 
 The bracket of a diagram with c crossings is summed over all 2^c
 smoothings.  Each state contributes A^(a-b) * (-A^2 - A^-2)^(loops-1),
@@ -15,11 +16,24 @@ anchor test in the suite guards the choice).  The derivative formulas
   v2 = -J''(1)/6        v3 = -(J'''(1) + 3 J''(1))/36
 then yield integers; a non-exact division is a hard error, never rounded.
 
-A diagram runs its state sum at most once: ``jones`` keeps the Jones
-polynomial on the Diagram the first time it succeeds and returns it from
-there after that, so ``v2_v3`` and ``jones`` on one diagram share one
-state sum.  The crossing cap is still checked on every call, before the
-cache is read; a call that raises leaves nothing cached.
+``knotfish invariants`` reads (v2, v3) off the one Jones polynomial it
+prints this way, and the tests use the same step as the oracle for
+``v2_v3``.
+
+``v2_v3`` runs no state sum: it counts signed arrow subdiagrams of the
+Gauss diagram (Polyak-Viro, "Gauss diagram formulas for Vassiliev
+invariants", IMRN 1994).  The base point is the start of the orientation
+walk; crossing i is a chord with sign e_i whose endpoints are its under
+visit U_i and its over visit O_i.  Reading endpoints from the base point,
+with chords a, b, c labelled in order of first appearance,
+  v2 = sum of e_a e_b over the pairs spelling U_a O_b O_a U_b,
+  v3 = sum of e_a e_b e_c over the triples spelling one of
+       U_a U_b O_c O_a U_c O_b     U_a O_b U_c O_a U_b O_c
+       U_a O_b O_c U_b O_a U_c     O_a U_b U_a O_c O_b U_c
+       O_a U_b O_c U_a O_b U_c,
+so v2 costs O(c^2) and v3 O(c^3).  The tests check both sums against
+the Jones route on random braid closures, their mirrors, connected sums,
+Whitehead doubles and every rotation of the base point.
 """
 
 from __future__ import annotations
@@ -123,23 +137,15 @@ def kauffman_bracket(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly
 
 
 def jones(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly:
-    """Jones polynomial in q, normalized so the unknot maps to 1.
-
-    Computed once per diagram and kept on it; the cap is checked first on
-    every call, so a cached diagram above ``cap`` still raises.
-    """
-    _check_cap(d, cap)
-    if d._jones is None:
-        w = writhe(d)
-        f = kauffman_bracket(d, cap) * mono(-1 if w % 2 else 1, -3 * w)
-        try:
-            j = f.reindex_exponents(_JONES_REINDEX)
-        except IndivisibleExponentError as exc:
-            raise ExactnessError(
-                "normalized bracket exponents not divisible by 4; "
-                "diagram is not a knot diagram or conventions are broken") from exc
-        object.__setattr__(d, "_jones", j)
-    return d._jones
+    """Jones polynomial in q, normalized so the unknot maps to 1."""
+    w = writhe(d)
+    f = kauffman_bracket(d, cap) * mono(-1 if w % 2 else 1, -3 * w)
+    try:
+        return f.reindex_exponents(_JONES_REINDEX)
+    except IndivisibleExponentError as exc:
+        raise ExactnessError(
+            "normalized bracket exponents not divisible by 4; "
+            "diagram is not a knot diagram or conventions are broken") from exc
 
 
 def _pair_from_jones(j: LaurentPoly) -> InvariantPair:
@@ -156,9 +162,73 @@ def _pair_from_jones(j: LaurentPoly) -> InvariantPair:
     return InvariantPair(v2, v3)
 
 
+def _chords(d: Diagram):
+    """The Gauss diagram of ``d`` based at the start of its walk: one chord
+    per crossing, in order of first endpoint, as parallel lists of first
+    and last walk positions, whether the first visit passes under, and the
+    crossing sign."""
+    first, last, under_first, sign = [], [], [], []
+    slot: dict[int, int] = {}
+    for pos, (i, over) in enumerate(d._visits):
+        k = slot.get(i)
+        if k is None:
+            slot[i] = len(first)
+            first.append(pos)
+            last.append(pos)
+            under_first.append(not over)
+            sign.append(d.crossings[i].sign)
+        else:
+            last[k] = pos
+    return first, last, under_first, sign
+
+
 def v2_v3(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> InvariantPair:
-    """The Vassiliev invariants (v2, v3) via Jones derivatives at 1."""
-    return _pair_from_jones(jones(d, cap))
+    """The Vassiliev invariants (v2, v3) by Gauss-diagram formulas.
+
+    Counts the signed arrow subdiagrams listed in the module docstring;
+    no state sum runs.  The cap is checked as for ``jones``, so both
+    accept the same diagrams.
+    """
+    _check_cap(d, cap)
+    first, last, under_first, sign = _chords(d)
+    n = len(first)
+    v2 = v3 = 0
+    # Chords a < b < c are in order of first endpoint.  In every pattern
+    # b starts before a ends and c starts before b ends, so both inner
+    # loops stop at the first chord that starts too late.
+    for a in range(n):
+        la, ua, sa = last[a], under_first[a], sign[a]
+        for b in range(a + 1, n):
+            if first[b] > la:
+                break
+            lb, ub, sab = last[b], under_first[b], sa * sign[b]
+            if ua and ub:
+                if la < lb:
+                    # U_a U_b O_c O_a U_c O_b
+                    for c in range(b + 1, n):
+                        if first[c] > la:
+                            break
+                        if not under_first[c] and la < last[c] < lb:
+                            v3 += sab * sign[c]
+            elif ua:
+                if la < lb:
+                    v2 += sab           # U_a O_b O_a U_b
+                # U_a O_b U_c O_a U_b O_c  and  U_a O_b O_c U_b O_a U_c
+                end, c_under = min(la, lb), la < lb
+                for c in range(b + 1, n):
+                    if first[c] > end:
+                        break
+                    lc = last[c]
+                    if lc > la and lc > lb and under_first[c] == c_under:
+                        v3 += sab * sign[c]
+            elif ub and la < lb:
+                # O_a U_b U_a O_c O_b U_c  and  O_a U_b O_c U_a O_b U_c
+                for c in range(b + 1, n):
+                    if first[c] > lb:
+                        break
+                    if not under_first[c] and last[c] > lb:
+                        v3 += sab * sign[c]
+    return InvariantPair(v2, v3)
 
 
 def arf(pair: InvariantPair) -> int:

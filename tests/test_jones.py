@@ -1,12 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TREFOIL_GAUSS, TREFOIL_PD, count_bracket_calls, jones_module
-from knotfish.diagram import (Diagram, connect_sum, mirror, parse_gauss,
-                              parse_pd, writhe)
+from knotfish.diagram import (Diagram, GaussCode, connect_sum,
+                              gauss_to_diagram, mirror, parse_gauss, parse_pd,
+                              to_gauss, writhe)
 from knotfish.errors import CrossingLimitError, ExactnessError
-from knotfish.generators import torus_pd, whitehead_pd
-from knotfish.jones import InvariantPair, arf, jones, kauffman_bracket, v2_v3
+from knotfish.generators import braid_closure, torus_pd, whitehead_pd
+from knotfish.jones import (InvariantPair, _pair_from_jones, arf, jones,
+                            kauffman_bracket, v2_v3)
 from knotfish.laurent import LaurentPoly, mono
+from knotfish.torus import torus_v2v3
 
 
 def bracket_oracle(d):
@@ -101,9 +106,7 @@ def test_bracket_matches_independent_oracle(build):
 @ORACLE_DIAGRAMS
 def test_cached_jones_matches_oracle(build):
     d = build()
-    expected = jones_from_oracle(d)
-    assert jones(d).terms == expected       # computed
-    assert jones(d).terms == expected       # from the cache
+    assert jones(d).terms == jones_from_oracle(d)
 
 
 def test_trefoil_bracket_frozen():
@@ -176,50 +179,103 @@ def test_connect_sum_additivity_and_multiplicativity():
 
 def test_crossing_cap():
     d = torus_pd((2, 5))
-    with pytest.raises(CrossingLimitError, match="cap") as uncached:
+    with pytest.raises(CrossingLimitError, match="cap") as bracket_error:
         kauffman_bracket(d, cap=4)
     assert tuple(v2_v3(d, cap=5)) == (3, 5)
-    # the Jones polynomial of d is cached now; the cap still applies
+    # v2_v3 runs no state sum, but keeps the same cap and message
     for call in (jones, v2_v3):
-        with pytest.raises(CrossingLimitError, match="cap") as cached:
+        with pytest.raises(CrossingLimitError, match="cap") as error:
             call(d, cap=4)
-        assert str(cached.value) == str(uncached.value)
+        assert str(error.value) == str(bracket_error.value)
 
 
 def test_state_sum_runs_once_per_diagram(monkeypatch):
     calls = count_bracket_calls(monkeypatch)
     d = torus_pd((3, 4))
     assert tuple(v2_v3(d)) == (5, 10)
-    j = jones(d)
+    assert calls == []
+    jones(d)
     assert calls == [8]
-    assert jones(d) is j
-    assert tuple(v2_v3(d)) == (5, 10)
-    assert calls == [8]
-
-
-def test_cache_is_invisible_to_equality():
-    cached, fresh = torus_pd((3, 4)), torus_pd((3, 4))
-    jones(cached)
-    assert cached._jones is not None and fresh._jones is None
-    assert cached == fresh and hash(cached) == hash(fresh)
-    assert len({cached, fresh}) == 1
-    assert jones(fresh) == jones(cached)
 
 
 def test_failed_call_caches_nothing(monkeypatch):
     d = torus_pd((2, 5))
     with pytest.raises(CrossingLimitError):
         jones(d, cap=4)
-    assert d._jones is None
     # a bracket whose exponents cannot be normalized
     monkeypatch.setattr(jones_module, "kauffman_bracket", lambda d, *args: mono(1, 1))
     with pytest.raises(ExactnessError):
         jones(d)
-    assert d._jones is None
     monkeypatch.undo()
     calls = count_bracket_calls(monkeypatch)
     assert tuple(v2_v3(d)) == (3, 5)
+    assert jones(d).terms == jones_from_oracle(d)
     assert calls == [5]
+
+
+@st.composite
+def knot_braids(draw, max_letters=12):
+    """(word, strands): a braid on 2-4 strands whose closure is a knot.
+
+    Letters are drawn freely, then each component of the closure is joined
+    to its neighbour by one more letter, so the word stays within
+    ``max_letters``."""
+    strands = draw(st.integers(2, 4))
+    letter = st.integers(1, strands - 1).flatmap(lambda g: st.sampled_from([g, -g]))
+    word = draw(st.lists(letter, min_size=1, max_size=max_letters + 1 - strands))
+    while True:
+        perm = list(range(strands))
+        for g in word:
+            j = abs(g) - 1
+            perm[j], perm[j + 1] = perm[j + 1], perm[j]
+        component, i = {0}, perm[0]
+        while i != 0:
+            component.add(i)
+            i = perm[i]
+        if len(component) == strands:
+            return word, strands
+        j = next(j for j in range(strands - 1)
+                 if (j in component) != (j + 1 in component))
+        word.append(draw(st.sampled_from([j + 1, -j - 1])))
+
+
+def assert_matches_jones_route(d):
+    """v2_v3 equals the Jones derivatives on ``d`` and on every rotation
+    of its Gauss code, i.e. from every base point."""
+    expected = _pair_from_jones(jones(d))
+    assert v2_v3(d) == expected
+    entries = to_gauss(d).entries
+    for k in range(1, len(entries)):
+        rotated = gauss_to_diagram(GaussCode(entries[k:] + entries[:k]))
+        assert v2_v3(rotated) == expected, k
+
+
+@settings(deadline=None, max_examples=40)
+@given(knot_braids())
+def test_gauss_formulas_match_jones_on_braid_closures(braid):
+    d = braid_closure(*braid)
+    assert_matches_jones_route(d)
+    assert_matches_jones_route(mirror(d))
+
+
+@settings(deadline=None, max_examples=15)
+@given(knot_braids(max_letters=8), knot_braids(max_letters=7))
+def test_gauss_formulas_match_jones_on_connected_sums(first, second):
+    assert_matches_jones_route(connect_sum(braid_closure(*first),
+                                           braid_closure(*second)))
+
+
+@pytest.mark.parametrize("i", range(-6, 7))
+def test_gauss_formulas_match_jones_on_whitehead_doubles(i):
+    assert_matches_jones_route(whitehead_pd(i))
+
+
+@pytest.mark.parametrize("pq", [(3, 8), (4, 7), (5, 6), (2, 61), (7, 16), (11, 12)])
+def test_gauss_formulas_match_torus_closed_form_on_large_knots(pq):
+    d = torus_pd(pq)
+    with pytest.raises(CrossingLimitError):
+        v2_v3(d, cap=d.crossing_count - 1)
+    assert v2_v3(d, cap=d.crossing_count) == torus_v2v3(pq)
 
 
 def test_jones_is_a_laurent_poly():

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from conftest import TREFOIL_PD
 from knotfish.diagram import parse_pd
-from knotfish.errors import InputError
-from knotfish.jones import InvariantPair
+from knotfish.errors import InputError, ValidationError
+from knotfish.generators import braid_closure
+from knotfish.jones import InvariantPair, v2_v3
 from knotfish.table import (KnotRecord, amphicheiral_candidates, bound_audit,
                             compute_all, crossing_maxima, load_table,
                             printed_bound_check)
@@ -123,6 +125,27 @@ def test_bound_audit_flags_synthetic_violation():
     assert bound_audit([ok]) == []
     failed = KnotRecord("9_99", 9, trefoil, error="cap hit")
     assert bound_audit([ok, failed]) == [("9_99", "not computed: cap hit")]
+
+
+def test_bounds_hold_on_every_short_three_strand_braid():
+    """|v2| <= c(c-1)/4, |v3| <= c(c-1)(c-2)/4 and v2 <= c^2/8 on the
+    closure of every 3-strand braid word of length <= 6 that is a knot,
+    with c the diagram's crossing count."""
+    records = []
+    for length in range(1, 7):
+        for word in product((1, -1, 2, -2), repeat=length):
+            try:
+                d = braid_closure(list(word), 3)
+            except ValidationError:     # closes to a link
+                continue
+            records.append(KnotRecord(f"{length}_{len(records)}", length, d))
+    assert len(records) == 2856      # words whose permutation is a 3-cycle
+    computed = compute_all(records)
+    assert bound_audit(computed) == []
+    # the c = 10 reference row (9, 25) is attained, also within the bounds
+    d = braid_closure([1, 1, 1, 1, 2, 1, 1, 1, 2, 2], 3)
+    assert tuple(v2_v3(d)) == (9, 25)
+    assert bound_audit(compute_all([KnotRecord("10_s", 10, d)])) == []
 
 
 def test_amphicheiral_candidates(bundled_computed, by_name):
