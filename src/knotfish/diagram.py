@@ -12,6 +12,13 @@ Validation accepts only single-component diagrams (knots) whose code is
 realizable in the plane; realizability is decided by tracing the faces of
 the ribbon structure and checking Euler characteristic 2.  The 0-crossing
 unknot is a first-class Diagram.
+
+Reading a PD code is one flat pass.  One regular expression matches the
+longest well-formed ``X(i,j,k,l),...`` prefix of the body, and a syntax
+error is read off where that prefix stops.  The labels are split out of
+the prefix with string methods.  The checks then run on flat integer lists
+indexed by edge label and by dart (crossing, slot); ``Crossing`` objects
+are built only once every check has passed.
 """
 
 from __future__ import annotations
@@ -36,28 +43,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Crossing:
-    """One crossing: edges counterclockwise from the incoming under-strand."""
+    """One crossing: edges counterclockwise from the incoming under-strand.
+
+    The under-strand runs edges[0] -> edges[2]; the over-strand runs
+    edges[1] -> edges[3] when sign is +1 and edges[3] -> edges[1] when -1.
+    """
 
     edges: tuple[int, int, int, int]
     sign: int
-
-    @property
-    def incoming_under(self) -> int:
-        return self.edges[0]
-
-    @property
-    def outgoing_under(self) -> int:
-        return self.edges[2]
-
-    @property
-    def incoming_over(self) -> int:
-        return self.edges[1] if self.sign > 0 else self.edges[3]
-
-    @property
-    def outgoing_over(self) -> int:
-        return self.edges[3] if self.sign > 0 else self.edges[1]
 
 
 class Diagram:
@@ -107,11 +102,14 @@ class Diagram:
     def from_tuples(tuples, name: str | None = None) -> Diagram:
         """Validate raw PD tuples and build a Diagram.
 
-        Checks, in order: every label in 1..2n appears exactly twice; the
-        under-strand is label-consecutive at each crossing; the over-strand
-        pair determines a sign; every edge enters exactly one crossing; the
-        orientation walk is a single 2n-cycle; the faces close up to a
-        sphere (planarity).
+        Checks, in order: every tuple has four labels, each an ``int`` (not
+        a ``bool``) and positive; every label in 1..2n appears exactly
+        twice; the under-strand is label-consecutive at each crossing; the
+        over-strand pair determines a sign; every edge enters exactly one
+        crossing; the orientation walk is a single 2n-cycle; the faces
+        close up to a sphere (planarity).  The checks run on flat integer
+        lists indexed by edge label, so no Crossing is built until all of
+        them pass.
         """
         tuples = [tuple(t) for t in tuples]
         if not tuples:
@@ -119,59 +117,70 @@ class Diagram:
         n = len(tuples)
         ne = 2 * n
 
-        counts: dict[int, int] = {}
+        counts = [0] * (ne + 1)     # counts[e] for the labels 1..ne
+        above: dict[int, int] = {}  # counts of the labels above ne
         for t in tuples:
             if len(t) != 4:
                 raise ValidationError(f"crossing tuple {t} does not have 4 edges")
             for e in t:
+                if type(e) is not int:
+                    raise ValidationError(f"edge label {e!r} is not an integer")
                 if e < 1:
                     raise ValidationError(f"edge label {e} is not positive")
-                counts[e] = counts.get(e, 0) + 1
-        bad = sorted(e for e in set(counts) | set(range(1, ne + 1))
-                     if e > ne or counts.get(e, 0) != 2)
-        if bad:
+                if e <= ne:
+                    counts[e] += 1
+                else:
+                    above[e] = above.get(e, 0) + 1
+        if above or counts.count(2) != ne:
+            bad = [e for e in range(1, ne + 1) if counts[e] != 2] + sorted(above)
             raise ValidationError(
                 f"every edge label in 1..{ne} must appear exactly twice; "
                 f"offending labels: {bad}")
 
-        crossings = []
-        for t in tuples:
-            crossings.append(Crossing(t, _derive_sign(t, ne)))
+        signs = [_derive_sign(t, ne) for t in tuples]
 
-        # Every edge must be the in-edge of exactly one crossing.
-        entered: dict[int, tuple[int, bool]] = {}
-        for i, c in enumerate(crossings):
-            for edge, over in ((c.incoming_under, False), (c.incoming_over, True)):
-                if edge in entered:
-                    raise ValidationError(
-                        f"edge {edge} enters two crossings; orientation inconsistent")
-                entered[edge] = (i, over)
-        if len(entered) != ne:
-            missing = sorted(set(range(1, ne + 1)) - set(entered))
+        # Strand 2*i + over runs through crossing i: entered[e] is the strand
+        # that edge e enters, leaving[strand] the edge it leaves by.
+        entered = [-1] * (ne + 1)
+        leaving = [0] * ne
+        for i, (a, b, c, d) in enumerate(tuples):
+            if signs[i] < 0:
+                b, d = d, b     # now the over-strand runs b -> d
+            if entered[a] >= 0:
+                raise ValidationError(
+                    f"edge {a} enters two crossings; orientation inconsistent")
+            entered[a] = 2 * i
+            if entered[b] >= 0:
+                raise ValidationError(
+                    f"edge {b} enters two crossings; orientation inconsistent")
+            entered[b] = 2 * i + 1
+            leaving[2 * i] = c
+            leaving[2 * i + 1] = d
+        if entered.count(-1) != 1:      # entered[0] is never set
+            missing = [e for e in range(1, ne + 1) if entered[e] < 0]
             raise ValidationError(
                 f"edges {missing} never enter a crossing; orientation inconsistent")
 
         # Orientation walk: a single knot component traverses all edges once.
-        visits = []
+        strands = []
+        hits = [0] * n
         edge = 1
         for _ in range(ne):
-            i, over = entered[edge]
-            visits.append((i, over))
-            c = crossings[i]
-            edge = c.outgoing_over if over else c.outgoing_under
+            strand = entered[edge]
+            strands.append(strand)
+            hits[strand >> 1] += 1
+            edge = leaving[strand]
         if edge != 1:
             raise ValidationError("orientation walk does not close up")
         # The walk starts at edge 1 and takes one out-edge per visit, so it
         # covers all edges iff every crossing is hit exactly twice.
-        hits = [0] * n
-        for i, _ in visits:
-            hits[i] += 1
-        if any(h != 2 for h in hits):
+        if hits.count(2) != n:
             raise ValidationError(
                 "diagram has more than one component (walk misses crossings)")
 
-        _check_planar(crossings, ne)
-        return Diagram(tuple(crossings), ne, name, tuple(visits))
+        _check_planar(tuples, ne)
+        return Diagram(tuple(map(Crossing, tuples, signs)), ne, name,
+                       tuple([(s >> 1, (s & 1) == 1) for s in strands]))
 
 
 def _derive_sign(t: tuple[int, int, int, int], ne: int) -> int:
@@ -193,32 +202,37 @@ def _derive_sign(t: tuple[int, int, int, int], ne: int) -> int:
         f"over-strand edges not consecutive in crossing {t}")
 
 
-def _check_planar(crossings, ne: int) -> None:
-    """Euler-characteristic test: V - E + F == 2 for the induced ribbon graph."""
-    n = len(crossings)
-    if n == 0:
-        return
-    glue: dict[tuple[int, int], tuple[int, int]] = {}
-    where: dict[int, list[tuple[int, int]]] = {}
-    for i, c in enumerate(crossings):
-        for s, e in enumerate(c.edges):
-            where.setdefault(e, []).append((i, s))
-    for darts in where.values():
-        d1, d2 = darts
-        glue[d1] = d2
-        glue[d2] = d1
-    unvisited = set(glue)
+def _check_planar(tuples: list[tuple[int, int, int, int]], ne: int) -> None:
+    """Euler-characteristic test: V - E + F == 2 for the induced ribbon graph.
+
+    Dart 4*i + s is slot s of crossing i.  ``glue`` pairs the two darts
+    that carry one edge label; a face is an orbit of "cross the edge, then
+    turn to the next slot counterclockwise".
+    """
+    n = len(tuples)
+    first = [-1] * (ne + 1)
+    glue = [0] * (4 * n)
+    dart = 0
+    for t in tuples:
+        for e in t:
+            other = first[e]
+            if other < 0:
+                first[e] = dart
+            else:
+                glue[dart] = other
+                glue[other] = dart
+            dart += 1
+    seen = bytearray(4 * n)
     faces = 0
-    while unvisited:
-        start = next(iter(unvisited))
-        dart = start
-        while True:
-            unvisited.discard(dart)
-            i, s = glue[dart]
-            dart = (i, (s + 1) % 4)
-            if dart == start:
-                break
+    for start in range(4 * n):
+        if seen[start]:
+            continue
         faces += 1
+        dart = start
+        while not seen[dart]:
+            seen[dart] = 1
+            dart = glue[dart]
+            dart = dart - 3 if (dart & 3) == 3 else dart + 1
     if n - ne + faces != 2:
         raise ValidationError(
             "diagram code is not realizable in the plane "
@@ -227,7 +241,10 @@ def _check_planar(crossings, ne: int) -> None:
 
 # -- parsing ---------------------------------------------------------------
 
-_PD_TOKEN = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
+_PD_TOKEN = r"X\(\d+,\d+,\d+,\d+\)"
+# The longest run of comma-separated tokens at the start of the body.
+_PD_PREFIX = re.compile(rf"{_PD_TOKEN}(?:,{_PD_TOKEN})*")
+_PD_LABEL = re.compile(r"\d+")
 
 
 def parse_pd(text: str, name: str | None = None) -> Diagram:
@@ -241,24 +258,31 @@ def parse_pd(text: str, name: str | None = None) -> Diagram:
     body = stripped[3:-1]
     if not body:
         return Diagram.unknot(name)
-    tuples = []
-    pos = 0
-    while pos < len(body):
-        m = _PD_TOKEN.match(body, pos)
-        if not m:
-            raise PDSyntaxError("expected 'X(i,j,k,l)'", pos + 3)
-        try:
-            tuples.append(tuple(int(g) for g in m.groups()))
-        except ValueError as exc:   # more digits than int() converts
-            raise PDSyntaxError("edge label too long", pos + 3) from exc
-        pos = m.end()
-        if pos < len(body):
-            if body[pos] != ",":
-                raise PDSyntaxError("expected ','", pos + 3)
-            pos += 1
-            if pos == len(body):
-                raise PDSyntaxError("trailing comma", pos + 3)
-    return Diagram.from_tuples(tuples, name)
+    # Offsets are into ``body``, which starts 3 characters into the text.
+    prefix = _PD_PREFIX.match(body)
+    if prefix is None:
+        raise PDSyntaxError("expected 'X(i,j,k,l)'", 3)
+    end = prefix.end()
+    # body[:end] is "X(i,j,k,l),X(...)...": drop the outer "X(" and ")" and
+    # turn each "),X(" into "," to leave the labels comma-separated.
+    try:
+        labels = list(map(int, body[2:end - 1].replace("),X(", ",").split(",")))
+    except ValueError:          # a label with more digits than int() converts
+        for label in _PD_LABEL.finditer(body, 0, end):
+            try:
+                int(label[0])
+            except ValueError as exc:
+                token = body.rfind("X", 0, label.start())
+                raise PDSyntaxError("edge label too long", token + 3) from exc
+        raise
+    if end < len(body):
+        if body[end] != ",":
+            raise PDSyntaxError("expected ','", end + 3)
+        if end + 1 == len(body):
+            raise PDSyntaxError("trailing comma", end + 4)
+        raise PDSyntaxError("expected 'X(i,j,k,l)'", end + 4)
+    label = iter(labels)
+    return Diagram.from_tuples(zip(label, label, label, label), name)
 
 
 def to_pd_text(d: Diagram) -> str:

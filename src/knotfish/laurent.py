@@ -60,18 +60,6 @@ class LaurentPoly:
                 result[e] = result.get(e, 0) + c1 * c2
         return LaurentPoly(result)
 
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("negative powers are not defined for Laurent polynomials")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def scale(self, factor: int) -> LaurentPoly:
         return LaurentPoly({e: factor * c for e, c in self._terms.items()})
 

@@ -12,7 +12,7 @@ table (11-15 crossings included) can be supplied by the user.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -107,9 +107,11 @@ def compute_all(records: list[KnotRecord],
     out = []
     for rec in records:
         try:
-            out.append(replace(rec, invariants=v2_v3(rec.diagram, cap), error=None))
+            out.append(KnotRecord(rec.name, rec.crossing_number, rec.diagram,
+                                  v2_v3(rec.diagram, cap)))
         except KnotfishError as exc:
-            out.append(replace(rec, invariants=None, error=str(exc)))
+            out.append(KnotRecord(rec.name, rec.crossing_number, rec.diagram,
+                                  None, str(exc)))
     return out
 
 
@@ -151,12 +153,14 @@ def bound_audit(records: list[KnotRecord]) -> list[tuple[str, str]]:
             continue
         c = rec.crossing_number
         v2, v3 = rec.invariants.v2, rec.invariants.v3
-        b2, b3 = _bounds(c)
-        if abs(v2) > b2:
-            violations.append((rec.name, f"|v2| = {abs(v2)} > c(c-1)/4 = {b2}"))
-        if abs(v3) > b3:
-            violations.append((rec.name, f"|v3| = {abs(v3)} > c(c-1)(c-2)/4 = {b3}"))
-        if v2 > Fraction(c * c, 8):
+        # The three bounds in integers; _bounds(c) only formats a message.
+        if 4 * abs(v2) > c * (c - 1):
+            violations.append(
+                (rec.name, f"|v2| = {abs(v2)} > c(c-1)/4 = {_bounds(c)[0]}"))
+        if 4 * abs(v3) > c * (c - 1) * (c - 2):
+            violations.append(
+                (rec.name, f"|v3| = {abs(v3)} > c(c-1)(c-2)/4 = {_bounds(c)[1]}"))
+        if 8 * v2 > c * c:
             violations.append((rec.name, f"v2 = {v2} > c^2/8 = {Fraction(c*c,8)}"))
     return violations
 

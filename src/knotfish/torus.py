@@ -6,9 +6,11 @@ comparisons against k*sqrt(m) are resolved by sign analysis plus
 squaring, never by floating point.
 
 Int-or-float rule: the "real" quantities (crossing_recovery and both
-pseudo-invariants) are exact ints when both radicands (rho+1)^2 - 24 v2
-and (rho-1)^2 - 24 v2 are perfect squares and the value is an integer;
-otherwise they are floats.
+pseudo-invariants) are exact ints when the radicands they use are perfect
+squares and the value is an integer; otherwise they are floats.  The
+pseudo-unknotting number uses (rho+1)^2 - 24 v2, as the exact
+unknotting_from_invariants does; crossing_recovery, and so the
+pseudo-crossing number, uses it and (rho-1)^2 - 24 v2.
 """
 
 from __future__ import annotations
@@ -296,9 +298,9 @@ def pseudo_invariants(pair: InvariantPair) -> tuple[int | float, int | float]:
         raise ConditionError(
             f"(6|v3|-|v2|)^2 >= 24 v2^3 fails for {tuple(pair)}")
     c = crossing_recovery(pair)   # first: a negative radicand raises here
-    r, rad_plus, rad_minus = _radicands(pair)
+    r, rad_plus, _ = _radicands(pair)
     s_plus = _sqrt_exact(rad_plus)
-    if s_plus is not None and _sqrt_exact(rad_minus) is not None:
+    if s_plus is not None:
         return _int_or_float((1 + r - s_plus) / 2), c
     return (1 + float(r) - math.sqrt(rad_plus)) / 2, c
 

@@ -1,9 +1,15 @@
-import pytest
+from math import gcd
 
-from conftest import TREFOIL_GAUSS, TREFOIL_PD
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import pd_oracle
+from conftest import TREFOIL_GAUSS, TREFOIL_PD, knot_braids
 from knotfish.diagram import (Diagram, connect_sum, mirror, parse_gauss,
                               parse_pd, to_gauss, to_pd_text, writhe)
 from knotfish.errors import (GaussSyntaxError, PDSyntaxError, ValidationError)
+from knotfish.generators import braid_closure, torus_pd, whitehead_pd
 
 
 def test_parse_trefoil():
@@ -125,3 +131,213 @@ def test_diagram_is_immutable():
     d = parse_pd(TREFOIL_PD)
     with pytest.raises(AttributeError):
         d.name = "other"
+
+
+# Every PD syntax error the parser can raise, with its offset in the text
+# after whitespace is removed.  A label is "too long" when it has more
+# digits than int() converts; the error names the token that holds it.
+LONG = "9" * 5000
+TRIPLE = "X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)"
+PD_SYNTAX_ERRORS = [
+    ("PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3),]", "trailing comma", 36),
+    ("PD[X(1,4,2,5),]", "trailing comma", 14),
+    ("PD[X(1,4,2,5)X(3,6,4,1)]", "expected ','", 13),
+    ("PD[X(1,4,2,5),X(3,6,4,1);X(5,2,6,3)]", "expected ','", 24),
+    (f"PD[{TRIPLE}]]", "expected ','", 35),
+    (f"PD[{TRIPLE}X]", "expected ','", 35),
+    (" PD[ X(1, 4, 2, 5) , X(3,6,4,1) X(5,2,6,3) ] ", "expected ','", 24),
+    ("PD[X(1,4,2,5),Y(3,6,4,1)]", "expected 'X(i,j,k,l)'", 14),
+    ("PD[Y]", "expected 'X(i,j,k,l)'", 3),
+    ("PD[,]", "expected 'X(i,j,k,l)'", 3),
+    ("PD[]]", "expected 'X(i,j,k,l)'", 3),
+    ("PD[X(1,4,2)]", "expected 'X(i,j,k,l)'", 3),
+    ("PD[X(1,4,2,5,6)]", "expected 'X(i,j,k,l)'", 3),
+    ("PD[X(-1,4,2,5)]", "expected 'X(i,j,k,l)'", 3),
+    ("PD[X(1,4,2,5),,X(3,6,4,1)]", "expected 'X(i,j,k,l)'", 14),
+    (f"PD[{TRIPLE},,]", "expected 'X(i,j,k,l)'", 36),
+    (f"PD[{TRIPLE},X(]", "expected 'X(i,j,k,l)'", 36),
+    ("X(1,4,2,5)", "expected 'PD[...]'", 0),
+    ("PD[X(1,4,2,5)", "expected 'PD[...]'", 0),
+    (f"pd[{TRIPLE}]", "expected 'PD[...]'", 0),
+    (f"PD[X(1,4,2,5),X({LONG},6,4,1)]", "edge label too long", 14),
+    (f"PD[X({LONG},4,2,5)X(3,6,4,1)]", "edge label too long", 3),
+    (f"PD[X(1,4,2,5)X({LONG},6,4,1)]", "expected ','", 13),
+    (f"PD[X(1,4,2,5),X({LONG},6,4,1),]", "edge label too long", 14),
+    (f"PD[X(1,4,2,5),X(3,6,4,{LONG}),Y]", "edge label too long", 14),
+    (f"PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,{LONG})]", "edge label too long", 25),
+]
+
+
+@pytest.mark.parametrize("text, message, position", PD_SYNTAX_ERRORS,
+                         ids=range(len(PD_SYNTAX_ERRORS)))
+def test_pd_syntax_errors_are_pinned(text, message, position):
+    with pytest.raises(PDSyntaxError) as err:
+        parse_pd(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+GAUSS_ERRORS = [
+    ("O1+X", "unexpected token at position 3: 'X'"),
+    ("O1*", "unexpected token at position 0: 'O1*'"),
+    ("O1+U2+O3+U1+O2+U3+ U", "unexpected token at position 18: 'U'"),
+    (f"O{LONG}+U1+", "crossing id too long at position 0"),
+    ("O1+U2", "unexpected token at position 3: 'U2'"),
+    ("O1+U1-", "sign mismatch for crossing 1"),
+    ("O1+O1+", "crossing 1 must appear once over and once under"),
+]
+
+
+@pytest.mark.parametrize("text, message", GAUSS_ERRORS,
+                         ids=range(len(GAUSS_ERRORS)))
+def test_gauss_syntax_errors_are_pinned(text, message):
+    with pytest.raises(GaussSyntaxError) as err:
+        parse_gauss(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("label", ["a", True, False, 1.5, 2.0, None])
+def test_labels_must_be_integers(label):
+    tuples = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
+    tuples[1] = (3, 6, 4, label)
+    with pytest.raises(ValidationError, match="is not an integer"):
+        Diagram.from_tuples(tuples)
+
+
+# -- the flat-pass reader against the reference reader in pd_oracle ---------
+
+def outcome(read, code):
+    """What ``read`` makes of ``code``: the type and message of the error
+    it raises, or the edge count, crossings, signs and walk it builds."""
+    try:
+        d = read(code)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return d.edge_count, [(c.edges, c.sign) for c in d.crossings], d._visits
+
+
+@st.composite
+def valid_codes(draw):
+    """PD tuples of a braid closure, a torus knot or a Whitehead double."""
+    family = draw(st.sampled_from(["braid", "torus", "whitehead"]))
+    if family == "braid":
+        d = braid_closure(*draw(knot_braids(max_letters=10)))
+    elif family == "torus":
+        p = draw(st.integers(2, 4))
+        q = draw(st.integers(p + 1, 9).filter(lambda q: gcd(p, q) == 1))
+        d = torus_pd((p, draw(st.sampled_from([q, -q]))))
+    else:
+        d = whitehead_pd(draw(st.integers(-4, 4)))
+    return [c.edges for c in d.crossings]
+
+
+@st.composite
+def mutated_codes(draw):
+    """A valid code as it is, with two labels swapped, with one tuple
+    rotated, with one tuple's over-strand slots swapped, or with one tuple
+    dropped."""
+    tuples = draw(valid_codes())
+    mutation = draw(st.sampled_from(["none", "swap", "rotate", "reflect", "drop"]))
+    index = st.integers(0, len(tuples) - 1)
+    if mutation == "swap":
+        flat = [e for t in tuples for e in t]
+        i, j = draw(st.lists(st.integers(0, len(flat) - 1),
+                             min_size=2, max_size=2, unique=True))
+        flat[i], flat[j] = flat[j], flat[i]
+        tuples = [tuple(flat[k:k + 4]) for k in range(0, len(flat), 4)]
+    elif mutation == "rotate":
+        i, k = draw(index), draw(st.integers(1, 3))
+        tuples[i] = tuples[i][k:] + tuples[i][:k]
+    elif mutation == "reflect":
+        i = draw(index)
+        a, b, c, d = tuples[i]
+        tuples[i] = (a, d, c, b)
+    elif mutation == "drop":
+        del tuples[draw(index)]
+    return tuples
+
+
+# Each label of 1..2n twice, in random order: these pass the label count
+# and so reach the sign, orientation and planarity checks.
+shuffled_codes = st.integers(1, 5).flatmap(
+    lambda n: st.permutations(list(range(1, 2 * n + 1)) * 2)).map(
+    lambda flat: [tuple(flat[k:k + 4]) for k in range(0, len(flat), 4)])
+
+
+@st.composite
+def gauss_word_codes(draw):
+    """The PD tuples of a random signed Gauss word: labels and signs are
+    consistent by construction, but most such words are not planar."""
+    n = draw(st.integers(1, 6))
+    walk = draw(st.permutations([(i, over) for i in range(n) for over in (0, 1)]))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    ports = {}
+    for pos, visit in enumerate(walk, start=1):
+        ports[visit] = (pos, pos % (2 * n) + 1)
+    tuples = []
+    for i in range(n):
+        (u_in, u_out), (o_in, o_out) = ports[i, 0], ports[i, 1]
+        tuples.append((u_in, o_in, u_out, o_out) if signs[i] > 0
+                      else (u_in, o_out, u_out, o_in))
+    return tuples
+
+
+label = st.integers(-1, 13)
+random_codes = st.lists(st.tuples(label, label, label, label)
+                        | st.lists(label, max_size=6).map(tuple),
+                        min_size=1, max_size=6)
+
+
+@settings(max_examples=300)
+@given(random_codes | shuffled_codes | gauss_word_codes())
+@example([(1, 2, 3)])
+@example([(1, 4, 2, 5), (0, 6, 4, 1), (5, 2, 6, 3)])
+@example([(1, 4, 2, 5), (3, 6, 4, 1)])
+@example([(1, 2, 1, 2)])
+@example([(3, 2, 4, 2), (1, 1, 3, 4)])
+@example([(3, 3, 4, 4), (1, 2, 2, 1)])
+@example([(1, 3, 2, 4), (1, 3, 2, 4)])
+@example([(3, 1, 4, 2), (4, 2, 1, 3)])
+@example([(1, 3, 2, 4), (3, 1, 4, 2)])
+def test_validator_matches_reference_on_random_tuples(tuples):
+    assert (outcome(Diagram.from_tuples, tuples)
+            == outcome(pd_oracle.from_tuples, tuples))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_codes())
+def test_validator_matches_reference_on_mutated_codes(tuples):
+    assert (outcome(Diagram.from_tuples, tuples)
+            == outcome(pd_oracle.from_tuples, tuples))
+
+
+@st.composite
+def mutated_pd_texts(draw):
+    """PD text of a valid code after up to three edits: a character
+    inserted, deleted or replaced, the text cut short and closed by "]",
+    or a 5000-digit run inserted."""
+    inner = ",".join("X({},{},{},{})".format(*t) for t in draw(valid_codes()))
+    text = f"PD[{inner}]"
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "cut", "long"]))
+        char = draw(st.sampled_from("PD[]X(),0123456789 -"))
+        if edit == "insert":
+            text = text[:i] + char + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + 1:]
+        elif edit == "replace":
+            text = text[:i] + char + text[i + 1:]
+        elif edit == "cut":
+            text = text[:i] + "]"
+        else:
+            text = text[:i] + LONG + text[i:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_pd_texts())
+@example(f"PD[{TRIPLE},]")
+@example(f"PD[X(1,4,2,5),X({LONG},6,4,1)X]")
+def test_parse_pd_matches_reference_on_mutated_text(text):
+    assert outcome(parse_pd, text) == outcome(pd_oracle.parse_pd, text)

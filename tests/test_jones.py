@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import TREFOIL_GAUSS, TREFOIL_PD, count_bracket_calls, jones_module
+from conftest import (TREFOIL_GAUSS, TREFOIL_PD, count_bracket_calls,
+                      jones_module, knot_braids)
 from knotfish.diagram import (Diagram, GaussCode, connect_sum,
                               gauss_to_diagram, mirror, parse_gauss, parse_pd,
                               to_gauss, writhe)
@@ -211,32 +211,6 @@ def test_failed_call_caches_nothing(monkeypatch):
     assert tuple(v2_v3(d)) == (3, 5)
     assert jones(d).terms == jones_from_oracle(d)
     assert calls == [5]
-
-
-@st.composite
-def knot_braids(draw, max_letters=12):
-    """(word, strands): a braid on 2-4 strands whose closure is a knot.
-
-    Letters are drawn freely, then each component of the closure is joined
-    to its neighbour by one more letter, so the word stays within
-    ``max_letters``."""
-    strands = draw(st.integers(2, 4))
-    letter = st.integers(1, strands - 1).flatmap(lambda g: st.sampled_from([g, -g]))
-    word = draw(st.lists(letter, min_size=1, max_size=max_letters + 1 - strands))
-    while True:
-        perm = list(range(strands))
-        for g in word:
-            j = abs(g) - 1
-            perm[j], perm[j + 1] = perm[j + 1], perm[j]
-        component, i = {0}, perm[0]
-        while i != 0:
-            component.add(i)
-            i = perm[i]
-        if len(component) == strands:
-            return word, strands
-        j = next(j for j in range(strands - 1)
-                 if (j in component) != (j + 1 in component))
-        word.append(draw(st.sampled_from([j + 1, -j - 1])))
 
 
 def assert_matches_jones_route(d):

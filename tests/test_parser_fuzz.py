@@ -1,7 +1,7 @@
 """Parsers must reject arbitrary garbage with the package's own error
 types, never leak IndexError/KeyError/ValueError from the internals."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotfish.diagram import parse_gauss, parse_pd
@@ -26,13 +26,24 @@ def test_parse_gauss_total_on_text(text):
         pass
 
 
-@settings(max_examples=100)
+# Labels of any type: the validator must refuse what is not an int with
+# its own error, not leak a TypeError or accept True or 2.0 as labels.
+any_label = st.one_of(st.integers(-2, 12), st.booleans(), st.floats(),
+                      st.fractions(), st.text(max_size=2), st.none())
+
+
+@settings(max_examples=200)
 @given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12),
-                          st.integers(1, 12), st.integers(1, 12)),
+                          st.integers(1, 12), st.integers(1, 12))
+                | st.tuples(any_label, any_label, any_label, any_label)
+                | st.lists(any_label, max_size=5).map(tuple),
                 min_size=1, max_size=6))
+@example([("a", 1, 2, 3)])
+@example([(True, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])
 def test_from_tuples_total_on_tuples(tuples):
     from knotfish.diagram import Diagram
     try:
-        Diagram.from_tuples(tuples)
+        d = Diagram.from_tuples(tuples)
     except InputError:
-        pass
+        return
+    assert all(type(e) is int for c in d.crossings for e in c.edges)

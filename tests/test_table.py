@@ -127,6 +127,30 @@ def test_bound_audit_flags_synthetic_violation():
     assert bound_audit([ok, failed]) == [("9_99", "not computed: cap hit")]
 
 
+def test_bound_audit_integer_tests_match_fractions():
+    """The audit's integer comparisons agree with |v2| > c(c-1)/4,
+    |v3| > c(c-1)(c-2)/4 and v2 > c^2/8 taken in Fractions, on a grid
+    that straddles each bound at every c from 0 to 15."""
+    trefoil = parse_pd(TREFOIL_PD)
+    records, expected = [], []
+    for c in range(16):
+        b2, b3 = Fraction(c * (c - 1), 4), Fraction(c * (c - 1) * (c - 2), 4)
+        near_b3 = {0} | {s * (int(b3) + k) for s in (1, -1) for k in (-1, 0, 1, 2)}
+        for v2, v3 in product(range(-60, 61), sorted(near_b3)):
+            name = f"{c}_{len(records)}"
+            records.append(KnotRecord(name, c, trefoil,
+                                      invariants=InvariantPair(v2, v3)))
+            rules = []
+            if abs(v2) > b2:
+                rules.append(f"|v2| = {abs(v2)} > c(c-1)/4 = {b2}")
+            if abs(v3) > b3:
+                rules.append(f"|v3| = {abs(v3)} > c(c-1)(c-2)/4 = {b3}")
+            if v2 > Fraction(c * c, 8):
+                rules.append(f"v2 = {v2} > c^2/8 = {Fraction(c * c, 8)}")
+            expected += [(name, rule) for rule in rules]
+    assert bound_audit(records) == expected
+
+
 def test_bounds_hold_on_every_short_three_strand_braid():
     """|v2| <= c(c-1)/4, |v3| <= c(c-1)(c-2)/4 and v2 <= c^2/8 on the
     closure of every 3-strand braid word of length <= 6 that is a knot,

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd, sqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from knotfish.errors import (ComputationError, ConditionError, InputError,
@@ -234,6 +234,7 @@ def test_pseudo_crossing_is_crossing_recovery(pair):
 
 
 @given(_pairs)
+@example(InvariantPair(16, 256))    # (rho-1)^2 - 24 v2 = 8641 is not a square
 def test_unknotting_recovery_is_pseudo_unknotting(pair):
     u = _outcome(unknotting_from_invariants, pair)
     pseudo = _outcome(pseudo_invariants, pair)
