@@ -18,13 +18,18 @@ longest well-formed ``X(i,j,k,l),...`` prefix of the body, and a syntax
 error is read off where that prefix stops.  The labels are split out of
 the prefix with string methods.  The checks then run on flat integer lists
 indexed by edge label and by dart (crossing, slot); ``Crossing`` objects
-are built only once every check has passed.
+are built only once every check has passed.  Once the labels and signs
+pass, the orientation walk is edges 1, 2, ..., 2n in order, so it needs
+no check of its own.
+
+``Crossing`` and ``GaussCode`` are ``typing.NamedTuple`` records: immutable,
+with named fields, and equal to the plain tuple of their values.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GaussSyntaxError, PDSyntaxError, ValidationError
 
@@ -43,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One crossing: edges counterclockwise from the incoming under-strand.
 
     The under-strand runs edges[0] -> edges[2]; the over-strand runs
@@ -105,17 +109,20 @@ class Diagram:
         Checks, in order: every tuple has four labels, each an ``int`` (not
         a ``bool``) and positive; every label in 1..2n appears exactly
         twice; the under-strand is label-consecutive at each crossing; the
-        over-strand pair determines a sign; every edge enters exactly one
-        crossing; the orientation walk is a single 2n-cycle; the faces
-        close up to a sphere (planarity).  The checks run on flat integer
-        lists indexed by edge label, so no Crossing is built until all of
-        them pass.
+        over-strand pair determines a sign; no edge enters two crossings;
+        the faces close up to a sphere (planarity).  The checks run on flat
+        integer lists indexed by edge label, so no Crossing is built until
+        all of them pass.
+
+        Once the labels and signs pass, each strand entered by edge e
+        leaves by edge e % 2n + 1, and the 2n in-edges are distinct, so
+        every edge enters exactly one crossing and the orientation walk is
+        1, 2, ..., 2n: one component, with no walk left to check.
         """
         tuples = [tuple(t) for t in tuples]
         if not tuples:
             return Diagram.unknot(name)
-        n = len(tuples)
-        ne = 2 * n
+        ne = 2 * len(tuples)
 
         counts = [0] * (ne + 1)     # counts[e] for the labels 1..ne
         above: dict[int, int] = {}  # counts of the labels above ne
@@ -139,13 +146,12 @@ class Diagram:
 
         signs = [_derive_sign(t, ne) for t in tuples]
 
-        # Strand 2*i + over runs through crossing i: entered[e] is the strand
-        # that edge e enters, leaving[strand] the edge it leaves by.
+        # Strand 2*i + over runs through crossing i; entered[e] is the
+        # strand that edge e enters.
         entered = [-1] * (ne + 1)
-        leaving = [0] * ne
-        for i, (a, b, c, d) in enumerate(tuples):
+        for i, (a, b, _, d) in enumerate(tuples):
             if signs[i] < 0:
-                b, d = d, b     # now the over-strand runs b -> d
+                b = d           # the over-strand enters by d
             if entered[a] >= 0:
                 raise ValidationError(
                     f"edge {a} enters two crossings; orientation inconsistent")
@@ -154,33 +160,11 @@ class Diagram:
                 raise ValidationError(
                     f"edge {b} enters two crossings; orientation inconsistent")
             entered[b] = 2 * i + 1
-            leaving[2 * i] = c
-            leaving[2 * i + 1] = d
-        if entered.count(-1) != 1:      # entered[0] is never set
-            missing = [e for e in range(1, ne + 1) if entered[e] < 0]
-            raise ValidationError(
-                f"edges {missing} never enter a crossing; orientation inconsistent")
-
-        # Orientation walk: a single knot component traverses all edges once.
-        strands = []
-        hits = [0] * n
-        edge = 1
-        for _ in range(ne):
-            strand = entered[edge]
-            strands.append(strand)
-            hits[strand >> 1] += 1
-            edge = leaving[strand]
-        if edge != 1:
-            raise ValidationError("orientation walk does not close up")
-        # The walk starts at edge 1 and takes one out-edge per visit, so it
-        # covers all edges iff every crossing is hit exactly twice.
-        if hits.count(2) != n:
-            raise ValidationError(
-                "diagram has more than one component (walk misses crossings)")
 
         _check_planar(tuples, ne)
+        # The walk takes edges 1, 2, ..., 2n in order (see the docstring).
         return Diagram(tuple(map(Crossing, tuples, signs)), ne, name,
-                       tuple([(s >> 1, (s & 1) == 1) for s in strands]))
+                       tuple([(s >> 1, (s & 1) == 1) for s in entered[1:]]))
 
 
 def _derive_sign(t: tuple[int, int, int, int], ne: int) -> int:
@@ -189,11 +173,8 @@ def _derive_sign(t: tuple[int, int, int, int], ne: int) -> int:
         raise ValidationError(
             f"under-strand edges not consecutive in crossing {t}")
     if ne == 2:
-        if a == d:
-            return 1
-        if a == b:
-            return -1
-        raise ValidationError(f"malformed one-crossing diagram {t}")
+        # The labels are 1, 1, 2, 2 and c != a, so b or d holds a.
+        return 1 if a == d else -1
     if (d - b) % ne == 1:
         return 1
     if (b - d) % ne == 1:
@@ -290,8 +271,7 @@ def to_pd_text(d: Diagram) -> str:
     return f"PD[{inner}]"
 
 
-@dataclass(frozen=True)
-class GaussCode:
+class GaussCode(NamedTuple):
     """Signed Gauss code: (crossing id, over flag, sign) along the knot."""
 
     entries: tuple[tuple[int, bool, int], ...]

@@ -13,9 +13,9 @@ down; each is calibrated against anchor values (T(2,3) and the i = 1,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import gcd
+from typing import NamedTuple
 
 from .diagram import Diagram, diagram_from_visits, mirror, renamed
 from .errors import InputError, ValidationError
@@ -25,18 +25,28 @@ __all__ = ["TorusParams", "WhiteheadIndex", "torus_pd", "whitehead_pd",
            "whitehead_closed_form", "braid_closure"]
 
 
-@dataclass(frozen=True)
-class TorusParams:
-    """Coprime nonzero pair (p, q) naming the torus knot T(p,q)."""
-
+class _TorusPair(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self):
-        if self.p == 0 or self.q == 0:
+
+class TorusParams(_TorusPair):
+    """Coprime nonzero pair (p, q) naming the torus knot T(p,q)."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> TorusParams:
+        self = super().__new__(cls, p, q)
+        if p == 0 or q == 0:
             raise InputError(f"torus parameters must be nonzero, got {self}")
-        if gcd(abs(self.p), abs(self.q)) != 1:
+        if gcd(abs(p), abs(q)) != 1:
             raise InputError(f"torus parameters must be coprime, got {self}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> TorusParams:
+        # _replace builds through _make; both keep the checks above.
+        return cls(*iterable)
 
     @property
     def is_unknot(self) -> bool:
@@ -53,8 +63,7 @@ def _as_torus(t: TorusParams | tuple[int, int],
     return t
 
 
-@dataclass(frozen=True)
-class WhiteheadIndex:
+class WhiteheadIndex(NamedTuple):
     """Number of full twists; negative i means -i negative twists."""
 
     i: int

@@ -38,7 +38,7 @@ Whitehead doubles and every rotation of the base point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import Diagram, writhe
 from .errors import (CrossingLimitError, ExactnessError,
@@ -55,15 +55,11 @@ DEFAULT_CROSSING_CAP = 20
 _JONES_REINDEX = -4
 
 
-@dataclass(frozen=True)
-class InvariantPair:
-    """The integers (v2, v3) of a knot."""
+class InvariantPair(NamedTuple):
+    """The integers (v2, v3) of a knot; unpacks as ``v2, v3 = pair``."""
 
     v2: int
     v3: int
-
-    def __iter__(self):
-        return iter((self.v2, self.v3))
 
 
 def _check_cap(d: Diagram, cap: int) -> None:
@@ -168,10 +164,10 @@ def _chords(d: Diagram):
     and last walk positions, whether the first visit passes under, and the
     crossing sign."""
     first, last, under_first, sign = [], [], [], []
-    slot: dict[int, int] = {}
+    slot = [-1] * d.crossing_count
     for pos, (i, over) in enumerate(d._visits):
-        k = slot.get(i)
-        if k is None:
+        k = slot[i]
+        if k < 0:
             slot[i] = len(first)
             first.append(pos)
             last.append(pos)

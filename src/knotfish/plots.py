@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import sys
-from dataclasses import dataclass, field
 from math import gcd
 from pathlib import Path
 
@@ -36,15 +35,32 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-@dataclass
 class PlotSpec:
-    """Points, curves, axis ranges, and title of one plot."""
+    """Points, curves, axis ranges, and title of one plot.
 
-    points: list[tuple[float, float, str]] = field(default_factory=list)
-    curves: list[tuple[str, list[tuple[float, float]]]] = field(default_factory=list)
-    x_range: tuple[float, float] | None = None
-    y_range: tuple[float, float] | None = None
-    title: str = ""
+    ``points`` and ``curves`` default to new empty lists.
+    """
+
+    def __init__(self,
+                 points: list[tuple[float, float, str]] | None = None,
+                 curves: list[tuple[str, list[tuple[float, float]]]] | None = None,
+                 x_range: tuple[float, float] | None = None,
+                 y_range: tuple[float, float] | None = None,
+                 title: str = ""):
+        self.points = [] if points is None else points
+        self.curves = [] if curves is None else curves
+        self.x_range = x_range
+        self.y_range = y_range
+        self.title = title
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"PlotSpec({fields})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def resolve_ranges(self) -> tuple[tuple[float, float], tuple[float, float]]:
         xs = [p[0] for p in self.points] + [x for _, pts in self.curves for x, _ in pts]
@@ -203,18 +219,16 @@ def emit_torus_overlay_svg(u_values: list[int], c_values: list[int],
     curves = []
     points = []
     for u in u_values:
-        pts = torus_curve_samples("unknotting", u, samples)
-        half = len(pts) // 2
-        curves.append((f"u={u} (+)", pts[:half]))
-        curves.append((f"u={u} (-)", pts[half:]))
+        plus, minus = torus_curve_samples("unknotting", u, samples)
+        curves.append((f"u={u} (+)", plus))
+        curves.append((f"u={u} (-)", minus))
         for p, q, pair in _torus_points_with_unknotting(u):
             points.append((float(pair.v2), float(pair.v3), f"T({p},{q})"))
             points.append((float(pair.v2), float(-pair.v3), f"T({p},-{q})"))
     for c in c_values:
-        pts = torus_curve_samples("crossing", c, samples)
-        half = len(pts) // 2
-        curves.append((f"c={c} (+)", pts[:half]))
-        curves.append((f"c={c} (-)", pts[half:]))
+        plus, minus = torus_curve_samples("crossing", c, samples)
+        curves.append((f"c={c} (+)", plus))
+        curves.append((f"c={c} (-)", minus))
         for p, q, pair in _torus_points_with_crossing(c):
             points.append((float(pair.v2), float(pair.v3), f"T({p},{q})"))
             points.append((float(pair.v2), float(-pair.v3), f"T({p},-{q})"))

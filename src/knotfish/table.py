@@ -12,10 +12,9 @@ table (11-15 crossings included) can be supplied by the user.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .diagram import Diagram, parse_pd
 from .errors import InputError, KnotfishError
@@ -28,8 +27,7 @@ __all__ = ["KnotRecord", "load_table", "load_bundled", "compute_all",
 BUNDLED_TABLE = "knots_upto10.txt"
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class KnotRecord(NamedTuple):
     """One table row: a named knot, its minimal crossing number, a diagram,
     and the computed invariants once filled in."""
 
@@ -88,11 +86,15 @@ def read_utf8(path: Path) -> str:
 
 
 def bundled_table_path() -> Path:
+    # importlib.resources is imported here, not at the top: it pulls in
+    # tempfile, shutil and zipfile, which no other command needs.
+    from importlib import resources
     with resources.as_file(resources.files("knotfish.data") / BUNDLED_TABLE) as p:
         return Path(p)
 
 
 def load_bundled() -> list[KnotRecord]:
+    from importlib import resources
     text = (resources.files("knotfish.data") / BUNDLED_TABLE).read_text("utf-8")
     return _parse_table_text(text, BUNDLED_TABLE)
 

@@ -11,13 +11,18 @@ squares and the value is an integer; otherwise they are floats.  The
 pseudo-unknotting number uses (rho+1)^2 - 24 v2, as the exact
 unknotting_from_invariants does; crossing_recovery, and so the
 pseudo-crossing number, uses it and (rho-1)^2 - 24 v2.
+
+The four report types are ``typing.NamedTuple`` records, as are
+``TorusParams`` and ``InvariantPair``: immutable, with named fields, and
+equal to the plain tuple of their values.  ``torus_curve_samples`` returns
+the +v3 and -v3 branches of a curve as two lists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (ComputationError, ConditionError, InputError,
                      NoIntegerRootError, RadicandError)
@@ -102,8 +107,7 @@ def torus_crossing(t: TorusParams | tuple[int, int]) -> int:
 
 # -- bound reports ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CubicBoundsReport:
+class CubicBoundsReport(NamedTuple):
     """Cubic band checks: lower1/upper bracket v3^2 between two cubics in
     v2; lower2 is the tight alternative using the mixed v2*v3 term."""
 
@@ -159,8 +163,7 @@ def unknotting_from_invariants(pair: InvariantPair) -> int:
     return int(u)
 
 
-@dataclass(frozen=True)
-class UnknottingBoundsReport:
+class UnknottingBoundsReport(NamedTuple):
     """u(u+1)/2 >= v2 >= u(u + sqrt(8u+1) + 2)/6, plus the corollary
     sqrt(1+8v2) - 1 <= 2u <= sqrt(24v2+25) - 5."""
 
@@ -236,8 +239,7 @@ def check_crossing_quartic(t: TorusParams | tuple[int, int]) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class CrossingBoundsReport:
+class CrossingBoundsReport(NamedTuple):
     """(c^2-1)/8 >= v2 >= c(c+1+2 sqrt(c+1))/24, plus the corollary in the
     derived form (sqrt(96 v2 + 25) - 5)/2 >= c >= sqrt(8 v2 + 1).
 
@@ -307,13 +309,15 @@ def pseudo_invariants(pair: InvariantPair) -> tuple[int | float, int | float]:
 
 # -- curve sampling (fish-plot overlays) ------------------------------------
 
-def torus_curve_samples(mode: str, value: int, n: int) -> list[tuple[float, float]]:
+def torus_curve_samples(mode: str, value: int, n: int
+                        ) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
     """Sample the fixed-u or fixed-c torus curves in the (v2, v3)-plane.
 
     mode "unknotting": |v3| = v2^2/u + (u-1)v2/6 over the v2 interval where
     the unknotting bounds are tight.  mode "crossing": the parametric curve
-    through (v2(p), v3(p)) with q = c/(p-1), p in [2, sqrt(c+1)].  Both
-    +v3 and -v3 branches are returned, the + branch first.
+    through (v2(p), v3(p)) with q = c/(p-1), p in [2, sqrt(c+1)].  Returns
+    the branches ``(plus, minus)``: n points (v2, v3) with v3 >= 0, and the
+    same n points with v3 negated.
     """
     if n < 2:
         raise InputError("need at least 2 samples")
@@ -343,13 +347,12 @@ def torus_curve_samples(mode: str, value: int, n: int) -> list[tuple[float, floa
             pts_pos.append((v2, v3))
     else:
         raise InputError(f"unknown curve mode {mode!r}")
-    return pts_pos + [(v2, -v3) for v2, v3 in pts_pos]
+    return pts_pos, [(v2, -v3) for v2, v3 in pts_pos]
 
 
 # -- combined report --------------------------------------------------------
 
-@dataclass(frozen=True)
-class TorusReport:
+class TorusReport(NamedTuple):
     """Everything this module can say about one torus knot."""
 
     params: TorusParams

@@ -163,26 +163,30 @@ def test_sweep_mirrors_and_sign_variants():
 
 
 def test_curve_samples_unknotting():
-    pts = torus_curve_samples("unknotting", 1, 2)
-    assert pts == [(1.0, 1.0), (1.0, 1.0), (1.0, -1.0), (1.0, -1.0)]
-    pts = torus_curve_samples("unknotting", 3, 5)
-    xs = [x for x, _ in pts[:5]]
+    assert torus_curve_samples("unknotting", 1, 2) == (
+        [(1.0, 1.0), (1.0, 1.0)], [(1.0, -1.0), (1.0, -1.0)])
+    plus, minus = torus_curve_samples("unknotting", 3, 5)
+    assert minus == [(x, -y) for x, y in plus]
+    xs = [x for x, _ in plus]
+    assert len(xs) == 5
     assert xs[0] == pytest.approx(5.0)
     assert xs[-1] == pytest.approx(6.0)
     # endpoints are T(3,4) -> (5, 10) and T(2,7) -> (6, 14)
-    assert pts[0][1] == pytest.approx(10.0)
-    assert pts[4][1] == pytest.approx(14.0)
+    assert plus[0][1] == pytest.approx(10.0)
+    assert plus[4][1] == pytest.approx(14.0)
 
 
 def test_curve_samples_crossing():
-    pts = torus_curve_samples("crossing", 3, 4)
-    for x, y in pts:
+    plus, minus = torus_curve_samples("crossing", 3, 4)
+    assert len(plus) == len(minus) == 4
+    for x, y in plus + minus:
         assert x == pytest.approx(1.0)
         assert abs(y) == pytest.approx(1.0)
-    pts = torus_curve_samples("crossing", 8, 3)
-    assert pts[0][0] == pytest.approx((8 ** 2 - 1) / 8)   # p=2 endpoint
-    assert pts[2][0] == pytest.approx(5.0)                # q=p+1 endpoint: T(3,4)
-    assert pts[2][1] == pytest.approx(10.0)
+    plus, minus = torus_curve_samples("crossing", 8, 3)
+    assert minus == [(x, -y) for x, y in plus]
+    assert plus[0][0] == pytest.approx((8 ** 2 - 1) / 8)   # p=2 endpoint
+    assert plus[2][0] == pytest.approx(5.0)                # q=p+1 endpoint: T(3,4)
+    assert plus[2][1] == pytest.approx(10.0)
 
 
 def test_curve_samples_lattice_points_lie_on_curve():
