@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 input error (bad arguments, unparsable codes,
 bad table rows), 2 computation error (crossing cap, exactness failures,
 out-of-domain formulas).  The env var VASSILIEV_CROSSING_CAP overrides
-the state-sum crossing cap; a --cap flag overrides both.
+the state-sum crossing cap of ``invariants``; its --cap flag overrides both.
+Tables and plots take (v2, v3) from Gauss-diagram formulas, with no cap.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _crossing_cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         return args.cap
     env = os.environ.get("VASSILIEV_CROSSING_CAP")
     if env is not None:
@@ -85,11 +86,10 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    records = table_mod.compute_all(_load_table_arg(args.file), _crossing_cap(args))
+    records = table_mod.compute_all(_load_table_arg(args.file))
     did_something = False
     if args.maxima or args.audit:
-        failed = sum(rec.invariants is None for rec in records)
-        print(f"records: {len(records) - failed} computed, {failed} failed")
+        print(f"records: {len(records)} computed")
     if args.maxima:
         did_something = True
         print("c  max|v2|  max|v3|  bound|v2|  bound|v3|")
@@ -115,16 +115,13 @@ def _cmd_table(args) -> int:
         print(f"wrote {args.csv}")
     if not did_something:
         for rec in records:
-            if rec.invariants is None:
-                print(f"{rec.name}\terror: {rec.error}")
-            else:
-                print(f"{rec.name}\t{rec.crossing_number}\t"
-                      f"{rec.invariants.v2}\t{rec.invariants.v3}")
+            print(f"{rec.name}\t{rec.crossing_number}\t"
+                  f"{rec.invariants.v2}\t{rec.invariants.v3}")
     return 0
 
 
 def _cmd_plot(args) -> int:
-    records = table_mod.compute_all(_load_table_arg(args.file), _crossing_cap(args))
+    records = table_mod.compute_all(_load_table_arg(args.file))
     emit_fish_svg(records, args.crossing, args.svg,
                   include_mirrors=not args.no_mirrors)
     print(f"wrote {args.svg}")
@@ -220,7 +217,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--maxima", action="store_true", help="per-crossing-number maxima vs bounds")
     p.add_argument("--audit", action="store_true", help="check the crossing-number bounds")
     p.add_argument("--csv", metavar="OUT", help="write name,crossings,v2,v3 CSV")
-    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("plot", help="fish scatter for one crossing number")
@@ -229,7 +225,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--svg", required=True)
     p.add_argument("--no-mirrors", action="store_true",
                    help="plot stored chirality only")
-    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("torus", help="closed-form torus-knot analysis")

@@ -62,24 +62,17 @@ class InvariantPair(NamedTuple):
     v3: int
 
 
-def _check_cap(d: Diagram, cap: int) -> None:
-    """Raise CrossingLimitError if ``d`` has more than ``cap`` crossings;
-    the unknot passes any cap."""
-    n = d.crossing_count
-    if n and n > cap:
-        raise CrossingLimitError(
-            f"{n} crossings exceeds the state-sum cap of {cap}; "
-            "raise the cap to proceed (2^c states)")
-
-
 def kauffman_bracket(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly:
     """Bracket polynomial in A by brute-force state sum.
 
     The unknot (no crossings) returns 1.  Raises CrossingLimitError above
     ``cap`` crossings (2^c states; raise the cap knowingly).
     """
-    _check_cap(d, cap)
     n = d.crossing_count
+    if n and n > cap:
+        raise CrossingLimitError(
+            f"{n} crossings exceeds the state-sum cap of {cap}; "
+            "raise the cap to proceed (2^c states)")
     if n == 0:
         return ONE
     ne = d.edge_count
@@ -178,14 +171,12 @@ def _chords(d: Diagram):
     return first, last, under_first, sign
 
 
-def v2_v3(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> InvariantPair:
+def v2_v3(d: Diagram) -> InvariantPair:
     """The Vassiliev invariants (v2, v3) by Gauss-diagram formulas.
 
     Counts the signed arrow subdiagrams listed in the module docstring;
-    no state sum runs.  The cap is checked as for ``jones``, so both
-    accept the same diagrams.
+    no state sum runs, so there is no crossing cap.
     """
-    _check_cap(d, cap)
     first, last, under_first, sign = _chords(d)
     n = len(first)
     v2 = v3 = 0

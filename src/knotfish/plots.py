@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import sys
 from math import gcd
 from pathlib import Path
 
@@ -132,26 +131,16 @@ def _render_svg(spec: PlotSpec) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _warn_skipped(rec: KnotRecord) -> None:
-    print(f"warning: skipping {rec.name}: no invariants"
-          + (f" ({rec.error})" if rec.error else ""), file=sys.stderr)
-
-
 def emit_csv(records: list[KnotRecord], out: str | Path) -> Path:
     """Write ``name,crossings,v2,v3`` rows in input order, LF endings;
-    names are quoted where CSV needs it.
-
-    Records without computed invariants are skipped with a warning on
-    stderr (they never corrupt the file).
+    names are quoted where CSV needs it.  Takes ``compute_all`` output; a
+    record without invariants raises before the file is written.
     """
     out = Path(out)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("name", "crossings", "v2", "v3"))
     for rec in records:
-        if rec.invariants is None:
-            _warn_skipped(rec)
-            continue
         writer.writerow((rec.name, rec.crossing_number,
                          rec.invariants.v2, rec.invariants.v3))
     out.write_bytes(buf.getvalue().encode("utf-8"))
@@ -164,15 +153,11 @@ def emit_fish_svg(records: list[KnotRecord], crossing_number: int,
 
     Tables store one chirality per knot, so by default each record also
     contributes its mirror point (v2, -v3); pass include_mirrors=False
-    to plot the stored chirality only.  Records with that crossing number
-    but without computed invariants are skipped with a warning on stderr.
+    to plot the stored chirality only.
     """
     pts = []
     for rec in records:
         if rec.crossing_number != crossing_number:
-            continue
-        if rec.invariants is None:
-            _warn_skipped(rec)
             continue
         v2, v3 = rec.invariants.v2, rec.invariants.v3
         pts.append((float(v2), float(v3), rec.name))

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .diagram import Diagram, parse_pd
 from .errors import InputError, KnotfishError
-from .jones import DEFAULT_CROSSING_CAP, InvariantPair, v2_v3
+from .jones import InvariantPair, v2_v3
 
 __all__ = ["KnotRecord", "load_table", "load_bundled", "compute_all",
            "crossing_maxima", "bound_audit", "amphicheiral_candidates",
@@ -29,7 +29,12 @@ BUNDLED_TABLE = "knots_upto10.txt"
 
 class KnotRecord(NamedTuple):
     """One table row: a named knot, its minimal crossing number, a diagram,
-    and the computed invariants once filled in."""
+    and the computed invariants once filled in.
+
+    ``error`` is always None, since ``v2_v3`` cannot fail on a validated
+    diagram; the field stays because ``perfbench`` reads it under
+    ``--trace 1``.
+    """
 
     name: str
     crossing_number: int
@@ -99,21 +104,12 @@ def load_bundled() -> list[KnotRecord]:
     return _parse_table_text(text, BUNDLED_TABLE)
 
 
-def compute_all(records: list[KnotRecord],
-                cap: int = DEFAULT_CROSSING_CAP) -> list[KnotRecord]:
-    """Fill invariants for every record, in input order.
-
-    Per-record failures (e.g. a crossing cap hit) are recorded on the row
-    and computation continues.
-    """
+def compute_all(records: list[KnotRecord]) -> list[KnotRecord]:
+    """Fill invariants for every record, in input order."""
     out = []
     for rec in records:
-        try:
-            out.append(KnotRecord(rec.name, rec.crossing_number, rec.diagram,
-                                  v2_v3(rec.diagram, cap)))
-        except KnotfishError as exc:
-            out.append(KnotRecord(rec.name, rec.crossing_number, rec.diagram,
-                                  None, str(exc)))
+        out.append(KnotRecord(rec.name, rec.crossing_number, rec.diagram,
+                              v2_v3(rec.diagram)))
     return out
 
 
@@ -127,8 +123,7 @@ def crossing_maxima(records: list[KnotRecord]) -> list[tuple[int, int, int, Frac
     number present, bounds being c(c-1)/4 and c(c-1)(c-2)/4."""
     by_c: dict[int, list[InvariantPair]] = {}
     for rec in records:
-        if rec.invariants is not None:
-            by_c.setdefault(rec.crossing_number, []).append(rec.invariants)
+        by_c.setdefault(rec.crossing_number, []).append(rec.invariants)
     rows = []
     for c in sorted(by_c):
         pairs = by_c[c]
@@ -144,15 +139,10 @@ def crossing_maxima(records: list[KnotRecord]) -> list[tuple[int, int, int, Frac
 def bound_audit(records: list[KnotRecord]) -> list[tuple[str, str]]:
     """Violations of |v2| <= c(c-1)/4, |v3| <= c(c-1)(c-2)/4, v2 <= c^2/8.
 
-    Expected empty; each violation reports the knot name and the rule.  A
-    record without invariants is reported as ``not computed: <error>``, so
-    a failed computation never passes the audit.
+    Expected empty; each violation reports the knot name and the rule.
     """
     violations = []
     for rec in records:
-        if rec.invariants is None:
-            violations.append((rec.name, f"not computed: {rec.error}"))
-            continue
         c = rec.crossing_number
         v2, v3 = rec.invariants.v2, rec.invariants.v3
         # The three bounds in integers; _bounds(c) only formats a message.
@@ -172,7 +162,7 @@ def amphicheiral_candidates(records: list[KnotRecord]) -> list[tuple[str, str]]:
     of the crossing number annotated."""
     out = []
     for rec in records:
-        if rec.invariants is not None and rec.invariants.v3 == 0:
+        if rec.invariants.v3 == 0:
             parity = "even" if rec.crossing_number % 2 == 0 else "odd"
             out.append((rec.name, parity))
     return out

@@ -44,15 +44,17 @@ def by_name(bundled_computed):
 
 
 @st.composite
-def knot_braids(draw, max_letters=12):
-    """(word, strands): a braid on 2-4 strands whose closure is a knot.
+def knot_braids(draw, max_letters=12, min_letters=1, min_strands=2):
+    """(word, strands): a braid on ``min_strands``-4 strands whose closure
+    is a knot.
 
     Letters are drawn freely, then each component of the closure is joined
-    to its neighbour by one more letter, so the word stays within
-    ``max_letters``."""
-    strands = draw(st.integers(2, 4))
+    to its neighbour by one more letter, so the word has between
+    ``min_letters`` and ``max_letters`` letters."""
+    strands = draw(st.integers(min_strands, 4))
     letter = st.integers(1, strands - 1).flatmap(lambda g: st.sampled_from([g, -g]))
-    word = draw(st.lists(letter, min_size=1, max_size=max_letters + 1 - strands))
+    word = draw(st.lists(letter, min_size=min_letters,
+                         max_size=max_letters + 1 - strands))
     while True:
         perm = list(range(strands))
         for g in word:

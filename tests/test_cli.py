@@ -7,6 +7,7 @@ from knotfish.diagram import parse_pd, to_pd_text
 from knotfish.generators import torus_pd
 from knotfish.jones import v2_v3
 from knotfish.table import bundled_table_path
+from knotfish.torus import torus_v2v3
 
 
 def run(capsys, *argv):
@@ -95,18 +96,6 @@ def test_table_maxima_and_audit(capsys):
     assert out.count("note:") == 3
 
 
-def test_table_audit_fails_records_over_the_cap(capsys):
-    code, out, _ = run(capsys, "table", "bundled", "--maxima", "--audit",
-                       "--cap", "8")
-    assert code == 2
-    assert "records: 9 computed, 4 failed" in out.splitlines()
-    assert "no violations" not in out
-    failed = [line.split()[1] for line in out.splitlines()
-              if line.startswith("VIOLATION")]
-    assert failed == ["9_1:", "9_2:", "10_1:", "10_124:"]
-    assert "not computed: 9 crossings exceeds the state-sum cap of 8" in out
-
-
 def test_table_csv(capsys, tmp_path):
     target = tmp_path / "out.csv"
     code, out, _ = run(capsys, "table", str(bundled_table_path()), "--csv", str(target))
@@ -127,16 +116,31 @@ def test_plot_subcommand(capsys, tmp_path):
     assert target.exists()
 
 
-def test_plot_warns_about_records_it_skips(capsys, tmp_path):
-    target = tmp_path / "fish9.svg"
-    code, out, err = run(capsys, "plot", "bundled", "--crossing", "9",
-                         "--cap", "8", "--svg", str(target))
-    assert code == 0
-    assert target.read_text().count("<circle") == 0
-    skipped = [line.split()[2] for line in err.splitlines()
-               if line.startswith("warning: skipping")]
-    assert skipped == ["9_1:", "9_2:"]
-    assert "9 crossings exceeds the state-sum cap of 8" in err
+def test_table_and_plot_above_twenty_crossings(capsys, tmp_path):
+    """Tables take (v2, v3) from the Gauss formulas, so no crossing cap
+    applies to them, and ``table`` and ``plot`` have no --cap flag."""
+    table = tmp_path / "big.txt"
+    table.write_text(f"21_1\t{to_pd_text(torus_pd((2, 21)))}\n"
+                     f"24_1\t{to_pd_text(torus_pd((5, 6)))}\n", encoding="utf-8")
+    code, out, err = run(capsys, "table", str(table), "--maxima", "--audit")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "records: 2 computed"
+    assert "bound audit: no violations" in lines
+    assert not any(line.startswith("VIOLATION") for line in lines)
+    maxima = [tuple(int(x) for x in line.split()[:3]) for line in lines
+              if line[:2] in ("21", "24")]
+    assert maxima == [(21, *torus_v2v3((2, 21))), (24, *torus_v2v3((5, 6)))]
+
+    target = tmp_path / "fish24.svg"
+    code, out, err = run(capsys, "plot", str(table), "--crossing", "24",
+                         "--svg", str(target))
+    assert (code, err) == (0, "")
+    assert target.read_text().count("<circle") == 2
+
+    code, _, err = run(capsys, "table", "bundled", "--cap", "8")
+    assert code == 1
+    assert "--cap" in err
 
 
 def test_torus_report(capsys):

@@ -181,12 +181,13 @@ def test_crossing_cap():
     d = torus_pd((2, 5))
     with pytest.raises(CrossingLimitError, match="cap") as bracket_error:
         kauffman_bracket(d, cap=4)
-    assert tuple(v2_v3(d, cap=5)) == (3, 5)
-    # v2_v3 runs no state sum, but keeps the same cap and message
-    for call in (jones, v2_v3):
-        with pytest.raises(CrossingLimitError, match="cap") as error:
-            call(d, cap=4)
-        assert str(error.value) == str(bracket_error.value)
+    assert str(bracket_error.value) == (
+        "5 crossings exceeds the state-sum cap of 4; "
+        "raise the cap to proceed (2^c states)")
+    with pytest.raises(CrossingLimitError, match="cap") as error:
+        jones(d, cap=4)
+    assert str(error.value) == str(bracket_error.value)
+    assert kauffman_bracket(parse_pd("PD[]"), cap=0) == LaurentPoly({0: 1})
 
 
 def test_state_sum_runs_once_per_diagram(monkeypatch):
@@ -239,6 +240,29 @@ def test_gauss_formulas_match_jones_on_connected_sums(first, second):
                                            braid_closure(*second)))
 
 
+def large_knot_braids():
+    """3-4-strand knot braids of 21-40 letters, above the bracket's cap."""
+    return knot_braids(max_letters=40, min_letters=21, min_strands=3)
+
+
+@settings(deadline=None, max_examples=20)
+@given(large_knot_braids(), large_knot_braids())
+def test_gauss_formulas_above_the_bracket_cap(first, second):
+    """Where the state sum is out of reach, v2_v3 still obeys relations
+    that do not go through it: v3 changes sign under mirroring, both
+    invariants add under connected sum, and neither depends on the base
+    point."""
+    d, e = braid_closure(*first), braid_closure(*second)
+    assert d.crossing_count > 20 and e.crossing_count > 20
+    (v2, v3), (w2, w3) = v2_v3(d), v2_v3(e)
+    assert v2_v3(mirror(d)) == (v2, -v3)
+    assert v2_v3(connect_sum(d, e)) == (v2 + w2, v3 + w3)
+    entries = to_gauss(d).entries
+    for k in range(1, len(entries)):
+        rotated = gauss_to_diagram(GaussCode(entries[k:] + entries[:k]))
+        assert v2_v3(rotated) == (v2, v3), k
+
+
 @pytest.mark.parametrize("i", range(-6, 7))
 def test_gauss_formulas_match_jones_on_whitehead_doubles(i):
     assert_matches_jones_route(whitehead_pd(i))
@@ -246,10 +270,7 @@ def test_gauss_formulas_match_jones_on_whitehead_doubles(i):
 
 @pytest.mark.parametrize("pq", [(3, 8), (4, 7), (5, 6), (2, 61), (7, 16), (11, 12)])
 def test_gauss_formulas_match_torus_closed_form_on_large_knots(pq):
-    d = torus_pd(pq)
-    with pytest.raises(CrossingLimitError):
-        v2_v3(d, cap=d.crossing_count - 1)
-    assert v2_v3(d, cap=d.crossing_count) == torus_v2v3(pq)
+    assert v2_v3(torus_pd(pq)) == torus_v2v3(pq)
 
 
 def test_jones_is_a_laurent_poly():

@@ -34,12 +34,12 @@ def test_csv_content_and_round_trip(bundled_computed, tmp_path):
         assert int(row["v3"]) == rec.invariants.v3
 
 
-def test_csv_skips_invariantless_with_warning(tmp_path, capsys):
+def test_csv_of_an_uncomputed_record_raises_and_writes_nothing(tmp_path):
     recs = [KnotRecord("3_1", 3, parse_pd(TREFOIL_PD), InvariantPair(1, 1)),
-            KnotRecord("9_9", 9, parse_pd("PD[]"), None, error="cap")]
-    out = emit_csv(recs, tmp_path / "t.csv")
-    assert out.read_text().splitlines() == ["name,crossings,v2,v3", "3_1,3,1,1"]
-    assert "9_9" in capsys.readouterr().err
+            KnotRecord("9_9", 9, parse_pd("PD[]"))]
+    with pytest.raises(AttributeError):
+        emit_csv(recs, tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_csv_empty_records(tmp_path):

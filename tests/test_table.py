@@ -70,16 +70,6 @@ def test_compute_all_fills_invariants(bundled_computed, by_name):
     assert compute_all([]) == []
 
 
-def test_compute_all_records_errors_and_continues(bundled_records):
-    records = compute_all(bundled_records, cap=4)
-    errors = [r for r in records if r.invariants is None]
-    fine = [r for r in records if r.invariants is not None]
-    assert {r.name for r in errors} == {r.name for r in bundled_records
-                                        if r.crossing_number > 4}
-    assert all("cap" in r.error for r in errors)
-    assert {r.name for r in fine} == {"3_1", "4_1"}
-
-
 def test_crossing_maxima_bounds_columns(bundled_computed):
     rows = {c: (m2, m3, b2, b3)
             for c, m2, m3, b2, b3 in crossing_maxima(bundled_computed)}
@@ -123,8 +113,16 @@ def test_bound_audit_flags_synthetic_violation():
     assert any("c(c-1)/4" in rule for _, rule in violations)
     ok = KnotRecord("4_99", 4, trefoil, invariants=InvariantPair(1, 0))
     assert bound_audit([ok]) == []
-    failed = KnotRecord("9_99", 9, trefoil, error="cap hit")
-    assert bound_audit([ok, failed]) == [("9_99", "not computed: cap hit")]
+
+
+def test_audits_raise_on_a_record_without_invariants():
+    """The audits take ``compute_all`` output; an uncomputed record is an
+    error, never silently skipped."""
+    ok = KnotRecord("3_1", 3, parse_pd(TREFOIL_PD), invariants=InvariantPair(1, 1))
+    uncomputed = KnotRecord("9_99", 9, parse_pd(TREFOIL_PD))
+    for audit in (crossing_maxima, bound_audit, amphicheiral_candidates):
+        with pytest.raises(AttributeError):
+            audit([ok, uncomputed])
 
 
 def test_bound_audit_integer_tests_match_fractions():
