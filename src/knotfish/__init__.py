@@ -7,7 +7,7 @@ from .generators import (TorusParams, WhiteheadIndex, braid_closure, torus_pd,
                          whitehead_closed_form, whitehead_pd)
 from .jones import (DEFAULT_CROSSING_CAP, InvariantPair, arf, jones,
                     kauffman_bracket, v2_v3)
-from .laurent import LaurentPoly, mono
+from .laurent import LaurentPoly
 from .table import (KnotRecord, bound_audit, compute_all, crossing_maxima,
                     load_bundled, load_table)
 from .torus import (check_crossing_bounds, check_crossing_quartic,
@@ -23,7 +23,7 @@ __all__ = [
     "whitehead_closed_form", "whitehead_pd",
     "DEFAULT_CROSSING_CAP", "InvariantPair", "arf", "jones",
     "kauffman_bracket", "v2_v3",
-    "LaurentPoly", "mono",
+    "LaurentPoly",
     "KnotRecord", "bound_audit", "compute_all", "crossing_maxima",
     "load_bundled", "load_table",
     "check_crossing_bounds", "check_crossing_quartic", "check_cubic_bounds",

@@ -2,15 +2,15 @@
 
 Exit codes: 0 success, 1 input error (bad arguments, unparsable codes,
 bad table rows), 2 computation error (crossing cap, exactness failures,
-out-of-domain formulas).  The env var VASSILIEV_CROSSING_CAP overrides
-the state-sum crossing cap of ``invariants``; its --cap flag overrides both.
-Tables and plots take (v2, v3) from Gauss-diagram formulas, with no cap.
+out-of-domain formulas).  ``invariants --cap`` sets the state-sum
+crossing cap (default DEFAULT_CROSSING_CAP).  Tables and plots take
+(v2, v3) from Gauss-diagram formulas, with no cap.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -31,23 +31,14 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _crossing_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("VASSILIEV_CROSSING_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"VASSILIEV_CROSSING_CAP={env!r} is not an integer") from exc
-    return DEFAULT_CROSSING_CAP
-
-
 def _parse_any_code(text: str) -> Diagram:
     stripped = text.strip()
     if stripped.startswith("PD["):
         return parse_pd(stripped)
-    if stripped[:1] in ("O", "U") or stripped == "":
+    # A Gauss code opens with O or U and a crossing id; a file name such
+    # as Output.pd does not.  The text is tried as a code first because
+    # Path.is_file() raises on names too long for the file system.
+    if re.match(r"[OU]\s*\d", stripped) or stripped == "":
         return parse_gauss(stripped)
     path = Path(stripped)
     if path.is_file():
@@ -74,7 +65,7 @@ def _load_table_arg(source: str):
 
 def _cmd_invariants(args) -> int:
     d = _parse_any_code(args.code)
-    j = jones(d, _crossing_cap(args))
+    j = jones(d, args.cap)
     pair = _pair_from_jones(j)
     print(f"crossings: {d.crossing_count}")
     print(f"writhe: {writhe(d)}")
@@ -209,7 +200,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("invariants", help="compute invariants of one diagram")
     p.add_argument("code", help="PD code, signed Gauss code, or path to a file holding one")
-    p.add_argument("--cap", type=int, help="state-sum crossing cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_CROSSING_CAP,
+                   help="state-sum crossing cap")
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("table", help="bulk-compute a knot table")

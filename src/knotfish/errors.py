@@ -44,10 +44,6 @@ class ExactnessError(ComputationError):
     """A division that must be exact was not; never rounded over."""
 
 
-class IndivisibleExponentError(ComputationError):
-    """Exponent reindexing hit an exponent not divisible by the divisor."""
-
-
 class RadicandError(ComputationError):
     """A square root of a negative quantity was requested."""
 

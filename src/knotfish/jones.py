@@ -7,12 +7,14 @@ where a and b count the two smoothing types and loops is the number of
 circles left after smoothing, counted by union-find over edge labels.
 States are enumerated as bit masks; since the A-exponent depends only on
 the popcount, states are histogrammed by (popcount, loops) and the
-polynomial is assembled once at the end.
+polynomial is assembled once at the end, expanding
+  (-A^2 - A^-2)^m = (-1)^m sum_k C(m, k) A^(2m - 4k),   m = loops - 1.
 
-Normalization multiplies by (-A^3)^(-writhe) and reindexes exponents so
-the positive trefoil comes out as -q^4 + q^3 + q; with the smoothing
-conventions of this module that pins the exponent divisor to -4 (the
-anchor test in the suite guards the choice).  The derivative formulas
+``jones`` normalizes: it multiplies by (-A^3)^(-writhe) and divides every
+exponent by -4, so the positive trefoil comes out as -q^4 + q^3 + q; with
+the smoothing conventions of this module that pins the divisor to -4 (the
+anchor test in the suite guards the choice), and an exponent it does not
+divide is an ExactnessError.  The derivative formulas
   v2 = -J''(1)/6        v3 = -(J'''(1) + 3 J''(1))/36
 then yield integers; a non-exact division is a hard error, never rounded.
 
@@ -38,21 +40,17 @@ Whitehead doubles and every rotation of the base point.
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
 from .diagram import Diagram, writhe
-from .errors import (CrossingLimitError, ExactnessError,
-                     IndivisibleExponentError)
-from .laurent import ONE, LaurentPoly, mono
+from .errors import CrossingLimitError, ExactnessError
+from .laurent import LaurentPoly
 
 __all__ = ["InvariantPair", "kauffman_bracket", "jones", "v2_v3", "arf",
            "DEFAULT_CROSSING_CAP"]
 
 DEFAULT_CROSSING_CAP = 20
-
-# Exponent divisor taking the normalized bracket (in A) to the Jones
-# variable q, fixed once by the trefoil anchor; see module docstring.
-_JONES_REINDEX = -4
 
 
 class InvariantPair(NamedTuple):
@@ -74,7 +72,7 @@ def kauffman_bracket(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly
             f"{n} crossings exceeds the state-sum cap of {cap}; "
             "raise the cap to proceed (2^c states)")
     if n == 0:
-        return ONE
+        return LaurentPoly({0: 1})
     ne = d.edge_count
 
     joins = []
@@ -113,28 +111,29 @@ def kauffman_bracket(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly
         key = (mask.bit_count(), loops)
         hist[key] = hist.get(key, 0) + 1
 
-    delta = LaurentPoly({2: -1, -2: -1})
-    delta_powers = [ONE]
-    for _ in range(max(loops_ for _, loops_ in hist)):
-        delta_powers.append(delta_powers[-1] * delta)
-
-    total = LaurentPoly()
+    terms: dict[int, int] = {}
     for (b_count, loops), count in hist.items():
-        term = delta_powers[loops - 1].scale(count)
-        total = total + term * mono(1, n - 2 * b_count)
-    return total
+        m = loops - 1
+        signed = -count if m % 2 else count
+        for k in range(m + 1):
+            e = n - 2 * b_count + 2 * m - 4 * k
+            terms[e] = terms.get(e, 0) + signed * comb(m, k)
+    return LaurentPoly(terms)
 
 
 def jones(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly:
     """Jones polynomial in q, normalized so the unknot maps to 1."""
     w = writhe(d)
-    f = kauffman_bracket(d, cap) * mono(-1 if w % 2 else 1, -3 * w)
-    try:
-        return f.reindex_exponents(_JONES_REINDEX)
-    except IndivisibleExponentError as exc:
-        raise ExactnessError(
-            "normalized bracket exponents not divisible by 4; "
-            "diagram is not a knot diagram or conventions are broken") from exc
+    sign = -1 if w % 2 else 1
+    terms = {}
+    for e, c in kauffman_bracket(d, cap).terms.items():
+        q, rem = divmod(e - 3 * w, -4)
+        if rem:
+            raise ExactnessError(
+                "normalized bracket exponents not divisible by 4; "
+                "diagram is not a knot diagram or conventions are broken")
+        terms[q] = sign * c
+    return LaurentPoly(terms)
 
 
 def _pair_from_jones(j: LaurentPoly) -> InvariantPair:

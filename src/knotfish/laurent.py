@@ -1,16 +1,18 @@
 """Exact Laurent polynomials in one variable with integer coefficients.
 
+``LaurentPoly`` is the value ``kauffman_bracket`` and ``jones`` return,
+which they build in plain dicts.  It compares, multiplies (the product
+checks J(K1 # K2) = J(K1) J(K2)), takes derivatives at 1 and formats.
+
 The representation is a sparse map exponent -> coefficient with no stored
 zeros, so equality is map equality.  Coefficients are plain Python ints
-(arbitrary precision); bracket-polynomial intermediates overflow 64 bits
-well before the crossing cap, so exactness here is non-negotiable.
+(arbitrary precision); bracket coefficients overflow 64 bits well before
+the crossing cap, so exactness here is non-negotiable.
 """
 
 from __future__ import annotations
 
-from .errors import IndivisibleExponentError
-
-__all__ = ["LaurentPoly", "mono", "ZERO", "ONE"]
+__all__ = ["LaurentPoly"]
 
 
 class LaurentPoly:
@@ -26,9 +28,6 @@ class LaurentPoly:
         """Copy of the exponent -> coefficient map (canonical, no zeros)."""
         return dict(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -40,18 +39,6 @@ class LaurentPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        result = dict(self._terms)
-        for e, c in other._terms.items():
-            result[e] = result.get(e, 0) + c
-        return LaurentPoly(result)
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self + (-other)
-
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         result: dict[int, int] = {}
         for e1, c1 in self._terms.items():
@@ -59,9 +46,6 @@ class LaurentPoly:
                 e = e1 + e2
                 result[e] = result.get(e, 0) + c1 * c2
         return LaurentPoly(result)
-
-    def scale(self, factor: int) -> LaurentPoly:
-        return LaurentPoly({e: factor * c for e, c in self._terms.items()})
 
     def falling_factorial_sum(self, n: int) -> int:
         """Value of the n-th derivative at 1: sum c_k * k(k-1)...(k-n+1)."""
@@ -74,22 +58,6 @@ class LaurentPoly:
                 prod *= e - j
             total += c * prod
         return total
-
-    def reindex_exponents(self, divisor: int) -> LaurentPoly:
-        """Divide every exponent by ``divisor`` (negative inverts the variable).
-
-        Raises IndivisibleExponentError naming the first offending exponent.
-        """
-        if divisor == 0:
-            raise ValueError("divisor must be nonzero")
-        result: dict[int, int] = {}
-        for e in sorted(self._terms):
-            if e % divisor != 0:
-                raise IndivisibleExponentError(
-                    f"exponent {e} is not divisible by {divisor}"
-                )
-            result[e // divisor] = self._terms[e]
-        return LaurentPoly(result)
 
     def format(self, var: str = "q") -> str:
         """Render with terms in decreasing exponent order, e.g. ``-q^4 + q^3 + q``."""
@@ -118,11 +86,3 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self._terms!r})"
 
-
-def mono(coeff: int, exp: int) -> LaurentPoly:
-    """The monomial ``coeff * x^exp``."""
-    return LaurentPoly({exp: coeff})
-
-
-ZERO = LaurentPoly()
-ONE = mono(1, 0)

@@ -13,11 +13,10 @@ import io
 from math import gcd
 from pathlib import Path
 
-from .errors import InputError
 from .table import KnotRecord
 from .torus import torus_curve_samples, torus_v2v3
 
-__all__ = ["PlotSpec", "emit_csv", "emit_fish_svg", "emit_torus_overlay_svg"]
+__all__ = ["emit_csv", "emit_fish_svg", "emit_torus_overlay_svg"]
 
 _WIDTH, _HEIGHT = 640, 480
 _MARGIN = 48
@@ -34,60 +33,23 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-class PlotSpec:
-    """Points, curves, axis ranges, and title of one plot.
-
-    ``points`` and ``curves`` default to new empty lists.
-    """
-
-    def __init__(self,
-                 points: list[tuple[float, float, str]] | None = None,
-                 curves: list[tuple[str, list[tuple[float, float]]]] | None = None,
-                 x_range: tuple[float, float] | None = None,
-                 y_range: tuple[float, float] | None = None,
-                 title: str = ""):
-        self.points = [] if points is None else points
-        self.curves = [] if curves is None else curves
-        self.x_range = x_range
-        self.y_range = y_range
-        self.title = title
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"PlotSpec({fields})"
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def resolve_ranges(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        xs = [p[0] for p in self.points] + [x for _, pts in self.curves for x, _ in pts]
-        ys = [p[1] for p in self.points] + [y for _, pts in self.curves for _, y in pts]
-        if self.x_range is not None:
-            lo, hi = self.x_range
-            if xs and (min(xs) < lo or max(xs) > hi):
-                raise InputError("explicit x range does not contain all points")
-            x_range = (lo, hi)
-        else:
-            lo = min(xs, default=-1.0)
-            hi = max(xs, default=1.0)
-            pad = 0.5 + 0.05 * (hi - lo)
-            x_range = (lo - pad, hi + pad)
-        if self.y_range is not None:
-            lo, hi = self.y_range
-            if ys and (min(ys) < lo or max(ys) > hi):
-                raise InputError("explicit y range does not contain all points")
-            y_range = (lo, hi)
-        else:
-            m = max((abs(y) for y in ys), default=1.0)
-            pad = 0.5 + 0.05 * (2 * m)
-            y_range = (-m - pad, m + pad)   # symmetric about v3 = 0
-        return x_range, y_range
+def _ranges(points, curves) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Padded axis ranges around every point and curve sample; the v3
+    range is symmetric about 0."""
+    xs = [p[0] for p in points] + [x for _, pts in curves for x, _ in pts]
+    ys = [p[1] for p in points] + [y for _, pts in curves for _, y in pts]
+    lo = min(xs, default=-1.0)
+    hi = max(xs, default=1.0)
+    pad = 0.5 + 0.05 * (hi - lo)
+    m = max((abs(y) for y in ys), default=1.0)
+    y_pad = 0.5 + 0.05 * (2 * m)
+    return (lo - pad, hi + pad), (-m - y_pad, m + y_pad)
 
 
-def _render_svg(spec: PlotSpec) -> str:
-    (x0, x1), (y0, y1) = spec.resolve_ranges()
+def _render_svg(points: list[tuple[float, float, str]],
+                curves: list[tuple[str, list[tuple[float, float]]]],
+                title: str) -> str:
+    (x0, x1), (y0, y1) = _ranges(points, curves)
     iw = _WIDTH - 2 * _MARGIN
     ih = _HEIGHT - 2 * _MARGIN
 
@@ -103,10 +65,10 @@ def _render_svg(spec: PlotSpec) -> str:
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{iw}" height="{ih}" '
         'fill="white" stroke="black" stroke-width="1"/>',
     ]
-    if spec.title:
+    if title:
         parts.append(f'<text x="{_WIDTH // 2}" y="{_MARGIN - 16}" font-size="14" '
                      'text-anchor="middle" font-family="sans-serif">'
-                     f'{_xml_text(spec.title)}</text>')
+                     f'{_xml_text(title)}</text>')
     # zero axes when inside the frame
     if x0 < 0 < x1:
         parts.append(f'<line x1="{_fmt(sx(0))}" y1="{_MARGIN}" x2="{_fmt(sx(0))}" '
@@ -118,15 +80,15 @@ def _render_svg(spec: PlotSpec) -> str:
                  'font-size="12" font-family="sans-serif">v2</text>')
     parts.append(f'<text x="{_fmt(sx(0) if x0 < 0 < x1 else _MARGIN)}" y="{_MARGIN - 4}" '
                  'font-size="12" font-family="sans-serif">v3</text>')
-    for idx, (label, pts) in enumerate(spec.curves):
+    for idx, (label, pts) in enumerate(curves):
         color = _PALETTE[idx % len(_PALETTE)]
         d = "M " + " L ".join(f"{_fmt(sx(x))} {_fmt(sy(y))}" for x, y in pts)
         parts.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.2">'
                      f'<title>{_xml_text(label)}</title></path>')
-    for x, y, label in spec.points:
-        title = f"<title>{_xml_text(label)}</title>" if label else ""
+    for x, y, label in points:
+        tip = f"<title>{_xml_text(label)}</title>" if label else ""
         parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" '
-                     f'fill="#1f77b4" fill-opacity="0.75" stroke="none">{title}</circle>')
+                     f'fill="#1f77b4" fill-opacity="0.75" stroke="none">{tip}</circle>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -164,9 +126,9 @@ def emit_fish_svg(records: list[KnotRecord], crossing_number: int,
         if include_mirrors and v3 != 0:
             pts.append((float(v2), float(-v3), f"mirror({rec.name})"))
     pts.sort()
-    spec = PlotSpec(points=pts, title=f"prime knots with {crossing_number} crossings")
+    svg = _render_svg(pts, [], f"prime knots with {crossing_number} crossings")
     out = Path(out)
-    out.write_bytes(_render_svg(spec).encode("utf-8"))
+    out.write_bytes(svg.encode("utf-8"))
     return out
 
 
@@ -223,7 +185,7 @@ def emit_torus_overlay_svg(u_values: list[int], c_values: list[int],
         title_bits.append("torus unknotting-number curves")
     if c_values:
         title_bits.append("torus crossing-number curves")
-    spec = PlotSpec(points=points, curves=curves, title=", ".join(title_bits))
+    svg = _render_svg(points, curves, ", ".join(title_bits))
     out = Path(out)
-    out.write_bytes(_render_svg(spec).encode("utf-8"))
+    out.write_bytes(svg.encode("utf-8"))
     return out

@@ -90,15 +90,9 @@ def read_utf8(path: Path) -> str:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def bundled_table_path() -> Path:
+def load_bundled() -> list[KnotRecord]:
     # importlib.resources is imported here, not at the top: it pulls in
     # tempfile, shutil and zipfile, which no other command needs.
-    from importlib import resources
-    with resources.as_file(resources.files("knotfish.data") / BUNDLED_TABLE) as p:
-        return Path(p)
-
-
-def load_bundled() -> list[KnotRecord]:
     from importlib import resources
     text = (resources.files("knotfish.data") / BUNDLED_TABLE).read_text("utf-8")
     return _parse_table_text(text, BUNDLED_TABLE)

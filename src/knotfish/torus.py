@@ -324,7 +324,7 @@ def torus_curve_samples(mode: str, value: int, n: int
     if value < 1:
         raise InputError("curve parameter must be >= 1")
     pts_pos: list[tuple[float, float]] = []
-    if mode in ("unknotting", "u"):
+    if mode == "unknotting":
         u = value
         lo = u * (u + math.sqrt(8 * u + 1) + 2) / 6
         hi = u * (u + 1) / 2
@@ -334,7 +334,7 @@ def torus_curve_samples(mode: str, value: int, n: int
             v2 = lo + (hi - lo) * k / (n - 1)
             v3 = v2 * v2 / u + (u - 1) * v2 / 6
             pts_pos.append((v2, v3))
-    elif mode in ("crossing", "c"):
+    elif mode == "crossing":
         c = value
         p_hi = math.sqrt(c + 1)
         if p_hi < 2:

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from conftest import TREFOIL_GAUSS, TREFOIL_PD, count_bracket_calls
@@ -6,7 +8,7 @@ from knotfish.cli import cli_main
 from knotfish.diagram import parse_pd, to_pd_text
 from knotfish.generators import torus_pd
 from knotfish.jones import v2_v3
-from knotfish.table import bundled_table_path
+from knotfish.table import BUNDLED_TABLE
 from knotfish.torus import torus_v2v3
 
 
@@ -43,6 +45,16 @@ def test_invariants_from_file(capsys, tmp_path):
     assert "v3: 1" in out
 
 
+@pytest.mark.parametrize("name", ["Output.pd", "Under.pd"])
+def test_invariants_from_file_named_like_a_gauss_code(capsys, tmp_path,
+                                                      monkeypatch, name):
+    (tmp_path / name).write_text(TREFOIL_PD + "\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "invariants", name)
+    assert (code, err) == (0, "")
+    assert "jones: -q^4 + q^3 + q" in out
+
+
 def test_invariants_runs_the_state_sum_once(capsys, monkeypatch):
     calls = count_bracket_calls(monkeypatch)
     code, out, _ = run(capsys, "invariants", to_pd_text(torus_pd((3, 5))))
@@ -63,21 +75,17 @@ def test_invariants_invalid_pd_is_input_error(capsys):
     assert "twice" in err
 
 
-def test_cap_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("VASSILIEV_CROSSING_CAP", "2")
-    code, _, err = run(capsys, "invariants", TREFOIL_PD)
+def test_cap_flag(capsys):
+    code, _, err = run(capsys, "invariants", TREFOIL_PD, "--cap", "2")
     assert code == 2
-    assert "cap" in err
-    monkeypatch.setenv("VASSILIEV_CROSSING_CAP", "not-a-number")
-    code, _, err = run(capsys, "invariants", TREFOIL_PD)
+    assert err == ("computation error: 3 crossings exceeds the state-sum cap "
+                   "of 2; raise the cap to proceed (2^c states)\n")
+
+
+def test_cap_flag_must_be_an_integer(capsys):
+    code, _, err = run(capsys, "invariants", TREFOIL_PD, "--cap", "x")
     assert code == 1
-
-
-def test_cap_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("VASSILIEV_CROSSING_CAP", "2")
-    code, out, _ = run(capsys, "invariants", TREFOIL_PD, "--cap", "5")
-    assert code == 0
-    assert "v2: 1" in out
+    assert "invalid int value" in err
 
 
 def test_table_default_listing(capsys):
@@ -97,10 +105,16 @@ def test_table_maxima_and_audit(capsys):
 
 
 def test_table_csv(capsys, tmp_path):
+    source = tmp_path / BUNDLED_TABLE
+    source.write_text((resources.files("knotfish.data") / BUNDLED_TABLE)
+                      .read_text("utf-8"), encoding="utf-8")
     target = tmp_path / "out.csv"
-    code, out, _ = run(capsys, "table", str(bundled_table_path()), "--csv", str(target))
+    code, out, _ = run(capsys, "table", str(source), "--csv", str(target))
     assert code == 0
     assert target.read_text().startswith("name,crossings,v2,v3")
+    bundled = tmp_path / "bundled.csv"
+    assert run(capsys, "table", "bundled", "--csv", str(bundled))[0] == 0
+    assert target.read_bytes() == bundled.read_bytes()
 
 
 def test_table_missing_file(capsys):

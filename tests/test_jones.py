@@ -10,7 +10,7 @@ from knotfish.errors import CrossingLimitError, ExactnessError
 from knotfish.generators import braid_closure, torus_pd, whitehead_pd
 from knotfish.jones import (InvariantPair, _pair_from_jones, arf, jones,
                             kauffman_bracket, v2_v3)
-from knotfish.laurent import LaurentPoly, mono
+from knotfish.laurent import LaurentPoly
 from knotfish.torus import torus_v2v3
 
 
@@ -204,9 +204,13 @@ def test_failed_call_caches_nothing(monkeypatch):
     with pytest.raises(CrossingLimitError):
         jones(d, cap=4)
     # a bracket whose exponents cannot be normalized
-    monkeypatch.setattr(jones_module, "kauffman_bracket", lambda d, *args: mono(1, 1))
-    with pytest.raises(ExactnessError):
+    monkeypatch.setattr(jones_module, "kauffman_bracket",
+                        lambda d, *args: LaurentPoly({1: 1}))
+    with pytest.raises(ExactnessError) as error:
         jones(d)
+    assert str(error.value) == (
+        "normalized bracket exponents not divisible by 4; "
+        "diagram is not a knot diagram or conventions are broken")
     monkeypatch.undo()
     calls = count_bracket_calls(monkeypatch)
     assert tuple(v2_v3(d)) == (3, 5)

@@ -9,9 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knotfish.diagram import parse_pd
-from knotfish.errors import InputError
 from knotfish.jones import InvariantPair
-from knotfish.plots import (PlotSpec, _render_svg, emit_csv, emit_fish_svg,
+from knotfish.plots import (_ranges, _render_svg, emit_csv, emit_fish_svg,
                             emit_torus_overlay_svg)
 from knotfish.table import KnotRecord
 
@@ -76,8 +75,7 @@ def test_fish_svg_empty_is_axes_only(tmp_path):
 def test_fish_svg_vertical_range_symmetric(bundled_computed, tmp_path):
     out = emit_fish_svg(bundled_computed, 3, tmp_path / "s.svg")
     spec_points = [(1.0, 1.0, "3_1"), (1.0, -1.0, "mirror(3_1)")]
-    spec = PlotSpec(points=spec_points)
-    _, (y0, y1) = spec.resolve_ranges()
+    _, (y0, y1) = _ranges(spec_points, [])
     assert y0 == -y1
     assert out.read_text().count("<circle") == 2
 
@@ -99,12 +97,6 @@ def test_torus_overlay_empty(tmp_path):
     assert text.startswith("<svg")
 
 
-def test_plot_spec_explicit_range_must_contain_points():
-    spec = PlotSpec(points=[(5.0, 1.0, "x")], x_range=(0.0, 1.0))
-    with pytest.raises(InputError):
-        spec.resolve_ranges()
-
-
 # Printable names (str.isprintable's categories) without tab or newline,
 # with the characters CSV and XML treat specially drawn often.
 _names = st.text(st.one_of(
@@ -124,6 +116,6 @@ def test_emitters_escape_arbitrary_names(names):
         [["name", "crossings", "v2", "v3"]] + [[n, "3", "1", "1"] for n in names])
     titles = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}title")]
     assert sorted(titles) == sorted(names + [f"mirror({n})" for n in names])
-    heading = ET.fromstring(_render_svg(PlotSpec(title=names[0]))).find(
+    heading = ET.fromstring(_render_svg([], [], names[0])).find(
         "{http://www.w3.org/2000/svg}text")
     assert heading.text == names[0]

@@ -18,7 +18,6 @@ from knotfish.diagram import parse_pd, to_gauss
 from knotfish.errors import InputError
 from knotfish.generators import TorusParams, WhiteheadIndex
 from knotfish.jones import InvariantPair
-from knotfish.plots import PlotSpec
 from knotfish.table import KnotRecord
 from knotfish.torus import CrossingBoundsReport, torus_report
 
@@ -135,15 +134,3 @@ def test_invariant_pair_unpacks_and_hashes():
     assert {pair: "x"}[InvariantPair(3, -5)] == "x"
     assert pair != InvariantPair(3, 5)
 
-
-def test_plot_spec_keywords_and_defaults():
-    spec = PlotSpec()
-    assert repr(spec) == ("PlotSpec(points=[], curves=[], x_range=None, "
-                          "y_range=None, title='')")
-    assert spec.points is not PlotSpec().points      # a new list each time
-    spec.points.append((1.0, 2.0, "a"))
-    assert spec == PlotSpec(points=[(1.0, 2.0, "a")])
-    assert spec != PlotSpec(points=[(1.0, 2.0, "a")], title="t")
-    assert repr(PlotSpec(x_range=(0.0, 1.0), title="t")) == (
-        "PlotSpec(points=[], curves=[], x_range=(0.0, 1.0), y_range=None, "
-        "title='t')")

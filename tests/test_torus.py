@@ -204,8 +204,9 @@ def test_curve_samples_invalid():
         torus_curve_samples("unknotting", 1, 1)
     with pytest.raises(InputError):
         torus_curve_samples("crossing", 2, 5)
-    with pytest.raises(InputError):
-        torus_curve_samples("nope", 1, 5)
+    for mode in ("nope", "u", "c"):
+        with pytest.raises(InputError):
+            torus_curve_samples(mode, 1, 5)
 
 
 def _torus_pair(pq, mirrored):
