@@ -32,19 +32,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_any_code(text: str) -> Diagram:
+    """A PD or Gauss code, or a path to a file whose text is one; a file's
+    text is read as a code only, never as another path."""
     stripped = text.strip()
-    if stripped.startswith("PD["):
-        return parse_pd(stripped)
     # A Gauss code opens with O or U and a crossing id; a file name such
     # as Output.pd does not.  The text is tried as a code first because
     # Path.is_file() raises on names too long for the file system.
-    if re.match(r"[OU]\s*\d", stripped) or stripped == "":
-        return parse_gauss(stripped)
-    path = Path(stripped)
-    if path.is_file():
-        return _parse_any_code(table_mod.read_utf8(path).strip())
-    raise InputError(
-        f"cannot interpret {text!r}: not a PD code, Gauss code, or readable file")
+    if not (stripped.startswith("PD[") or re.match(r"[OU]\s*\d", stripped)
+            or stripped == ""):
+        path = Path(stripped)
+        if not path.is_file():
+            raise InputError(f"cannot interpret {text!r}: not a PD code, "
+                             "Gauss code, or readable file")
+        stripped = table_mod.read_utf8(path).strip()
+    if stripped.startswith("PD["):
+        return parse_pd(stripped)
+    return parse_gauss(stripped)
 
 
 def _num(x) -> str:
@@ -156,6 +159,8 @@ def _cmd_pseudo(args) -> int:
 
 def _cmd_generate(args) -> int:
     if args.family == "torus":
+        if args.b is None:
+            raise InputError("generate torus needs p and q")
         d = torus_pd(TorusParams(args.a, args.b))
     else:
         if args.b is not None:
@@ -249,8 +254,6 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "generate" and args.family == "torus" and args.b is None:
-            raise InputError("generate torus needs p and q")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

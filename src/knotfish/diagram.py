@@ -22,6 +22,12 @@ are built only once every check has passed.  Once the labels and signs
 pass, the orientation walk is edges 1, 2, ..., 2n in order, so it needs
 no check of its own.
 
+Every diagram defined by a walk is built by ``diagram_from_walk`` from its
+signed walk, one (crossing key, over flag, sign) entry per visit: Gauss
+codes, connected sums and the generators' braid closures and Whitehead
+doubles.  It runs the Gauss-code checks once and hands the PD tuples to
+``Diagram.from_tuples``, the one validator.
+
 ``Crossing`` and ``GaussCode`` are ``typing.NamedTuple`` records: immutable,
 with named fields, and equal to the plain tuple of their values.
 """
@@ -39,7 +45,7 @@ __all__ = [
     "GaussCode",
     "parse_pd",
     "parse_gauss",
-    "gauss_to_diagram",
+    "diagram_from_walk",
     "to_pd_text",
     "to_gauss",
     "writhe",
@@ -306,29 +312,41 @@ def parse_gauss(text: str, name: str | None = None) -> Diagram:
         entries.append((cid, m.group(1) == "O",
                         1 if m.group(3) == "+" else -1))
         pos = m.end()
-    return gauss_to_diagram(GaussCode(tuple(entries)), name)
+    return diagram_from_walk(entries, name)
 
 
-def gauss_to_diagram(code: GaussCode, name: str | None = None) -> Diagram:
-    entries = code.entries
-    if not entries:
-        return Diagram.unknot(name)
-    seen: dict[int, list[tuple[int, bool, int]]] = {}
-    for pos, (cid, over, sign) in enumerate(entries, start=1):
-        seen.setdefault(cid, []).append((pos, over, sign))
-    for cid, occ in seen.items():
+def diagram_from_walk(walk, name: str | None = None) -> Diagram:
+    """Build a Diagram from a signed walk.
+
+    ``walk`` is a sequence of (crossing key, over flag, sign), one entry
+    per visit along the knot; edge j is the in-edge of the j-th visit
+    (1-based, wrapping).  Each key must appear twice, once over and once
+    under, with one sign, or GaussSyntaxError is raised; the sign fixes
+    the slot of the incoming over-strand.  Crossings are emitted in order
+    of first visit, and ``Diagram.from_tuples`` validates the result.
+    """
+    ne = len(walk)
+    occurrences: dict[object, list[tuple[int, bool, int]]] = {}
+    for pos, (key, over, sign) in enumerate(walk, start=1):
+        occurrences.setdefault(key, []).append((pos, over, sign))
+    tuples = []
+    for key, occ in occurrences.items():
         if len(occ) != 2:
             raise GaussSyntaxError(
-                f"crossing {cid} appears {len(occ)} times (expected 2)")
-        (_, over1, sign1), (_, over2, sign2) = occ
+                f"crossing {key} appears {len(occ)} times (expected 2)")
+        (pos1, over1, sign1), (pos2, over2, sign2) = occ
         if over1 == over2:
             raise GaussSyntaxError(
-                f"crossing {cid} must appear once over and once under")
+                f"crossing {key} must appear once over and once under")
         if sign1 != sign2:
-            raise GaussSyntaxError(f"sign mismatch for crossing {cid}")
-    visits = [(cid, over) for cid, over, _ in entries]
-    signs = {cid: occ[0][2] for cid, occ in seen.items()}
-    return diagram_from_visits(visits, signs, name)
+            raise GaussSyntaxError(f"sign mismatch for crossing {key}")
+        u_in, o_in = (pos2, pos1) if over1 else (pos1, pos2)
+        u_out, o_out = u_in % ne + 1, o_in % ne + 1
+        if sign1 > 0:
+            tuples.append((u_in, o_in, u_out, o_out))
+        else:
+            tuples.append((u_in, o_out, u_out, o_in))
+    return Diagram.from_tuples(tuples, name)
 
 
 def to_gauss(d: Diagram) -> GaussCode:
@@ -343,44 +361,7 @@ def to_gauss(d: Diagram) -> GaussCode:
     return GaussCode(tuple(entries))
 
 
-def diagram_from_visits(visits, signs, name: str | None = None) -> Diagram:
-    """Rebuild PD tuples from a visit sequence.
-
-    ``visits`` lists (crossing key, over flag) along the knot; edge j is the
-    in-edge of the j-th visit (1-based, wrapping).  ``signs`` maps each key
-    to its crossing sign, which fixes the slot of the incoming over-strand.
-    Crossings are emitted in order of first visit.
-    """
-    ne = len(visits)
-    ports: dict[object, dict[bool, tuple[int, int]]] = {}
-    order = []
-    for pos, (key, over) in enumerate(visits, start=1):
-        if key not in ports:
-            ports[key] = {}
-            order.append(key)
-        if over in ports[key]:
-            raise ValidationError(f"crossing {key} visited twice as "
-                                  f"{'over' if over else 'under'}")
-        ports[key][over] = (pos, pos % ne + 1)
-    tuples = []
-    for key in order:
-        if len(ports[key]) != 2:
-            raise ValidationError(f"crossing {key} not visited twice")
-        u_in, u_out = ports[key][False]
-        o_in, o_out = ports[key][True]
-        if signs[key] > 0:
-            tuples.append((u_in, o_in, u_out, o_out))
-        else:
-            tuples.append((u_in, o_out, u_out, o_in))
-    return Diagram.from_tuples(tuples, name)
-
-
 # -- operations ------------------------------------------------------------
-
-def renamed(d: Diagram, name: str | None) -> Diagram:
-    """Same diagram under a different label."""
-    return Diagram(d.crossings, d.edge_count, name, d._visits)
-
 
 def writhe(d: Diagram) -> int:
     """Sum of crossing signs."""
@@ -403,11 +384,9 @@ def mirror(d: Diagram) -> Diagram:
 
 def connect_sum(d1: Diagram, d2: Diagram) -> Diagram:
     """Connected sum: splice d2's walk into d1's closing edge and relabel."""
-    visits = [(("a", i), over) for i, over in d1._visits]
-    visits += [(("b", i), over) for i, over in d2._visits]
-    signs = {("a", i): c.sign for i, c in enumerate(d1.crossings)}
-    signs.update({("b", i): c.sign for i, c in enumerate(d2.crossings)})
+    walk = [(("a", i), over, d1.crossings[i].sign) for i, over in d1._visits]
+    walk += [(("b", i), over, d2.crossings[i].sign) for i, over in d2._visits]
     name = None
     if d1.name and d2.name:
         name = f"{d1.name}#{d2.name}"
-    return diagram_from_visits(visits, signs, name)
+    return diagram_from_walk(walk, name)

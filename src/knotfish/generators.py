@@ -2,9 +2,13 @@
 
 Torus knots are built as braid closures of (s1 s2 ... s_{p-1})^q with
 strands left to right, generators stacked bottom to top, and closure
-arcs on the right; edge labels come from a single orientation walk.
-Twisted Whitehead doubles of the unknot are built as a 2-crossing clasp
-hooked over an antiparallel ladder of 2|i| same-sign twist crossings.
+arcs on the right; T(p,q) with pq < 0 negates every letter, which gives
+the mirror diagram.  A braid is closed by following the strand that starts
+at position 1 up through the word, one pass at a time.  Twisted Whitehead
+doubles of the unknot are built as a 2-crossing clasp hooked over an
+antiparallel ladder of 2|i| same-sign twist crossings.  Every constructor
+emits a signed walk, and ``diagram.diagram_from_walk`` turns it into the
+diagram, so edge labels come from that one orientation walk.
 
 Both families carry a chirality convention that a picture cannot pin
 down; each is calibrated against anchor values (T(2,3) and the i = 1,
@@ -13,11 +17,10 @@ down; each is calibrated against anchor values (T(2,3) and the i = 1,
 
 from __future__ import annotations
 
-from itertools import count
 from math import gcd
 from typing import NamedTuple
 
-from .diagram import Diagram, diagram_from_visits, mirror, renamed
+from .diagram import Diagram, diagram_from_walk
 from .errors import InputError, ValidationError
 from .jones import InvariantPair
 
@@ -82,64 +85,24 @@ def braid_closure(word: list[int], strands: int,
     for g in word:
         if g == 0 or abs(g) >= strands:
             raise InputError(f"letter {g} invalid on {strands} strands")
-    if not word:
-        if strands == 1:
-            return Diagram.unknot(name)
-        raise ValidationError("empty word on several strands closes to a link")
-    touched = set()
-    for g in word:
-        touched.update((abs(g) - 1, abs(g)))
-    if touched != set(range(strands)):
-        raise ValidationError(
-            "some strand is never crossed; the closure is a split link")
-
-    # Wires are abstract arc ids; each letter consumes the two wires at its
-    # positions and produces two fresh ones.
-    fresh = count().__next__
-    bottom = [fresh() for _ in range(strands)]
-    cur = list(bottom)
-    crossings = []
-    for g in word:
-        j = abs(g)
-        u, v = cur[j - 1], cur[j]
-        x, y = fresh(), fresh()
-        cur[j - 1], cur[j] = x, y
-        if g > 0:
-            # right strand passes under: under v->x, over u->y
-            crossings.append((v, x, u, y, 1))
-        else:
-            crossings.append((u, y, v, x, -1))
-
-    # Closure identifies each top wire with its bottom wire.
-    alias = {}
-    for top, bot in zip(cur, bottom):
-        alias[top] = bot
-
-    def canon(w):
-        while w in alias:
-            w = alias[w]
-        return w
-
-    enter = {}
-    cont = {}
-    signs = {}
-    for key, (u_in, u_out, o_in, o_out, sign) in enumerate(crossings):
-        enter[canon(u_in)] = (key, False)
-        enter[canon(o_in)] = (key, True)
-        cont[(key, False)] = canon(u_out)
-        cont[(key, True)] = canon(o_out)
-        signs[key] = sign
-
-    start = canon(bottom[0])
-    visits = []
-    wire = start
-    for _ in range(2 * len(word)):
-        visit = enter[wire]
-        visits.append(visit)
-        wire = cont[visit]
-    if wire != start or len({k for k, _ in visits}) != len(word):
+    # Follow the strand that starts at position 1 up through the word, one
+    # pass per trip round the closure.  At letter g it crosses when it is
+    # at position |g| or |g|+1; for g > 0 the left strand passes over.
+    # The closure is one component exactly when the strand needs all
+    # ``strands`` passes to get back to position 1.
+    walk = []
+    pos = 1
+    for passes in range(1, strands + 1):
+        for key, g in enumerate(word):
+            j = abs(g)
+            if pos == j or pos == j + 1:
+                walk.append((key, (pos == j) == (g > 0), 1 if g > 0 else -1))
+                pos = 2 * j + 1 - pos       # swap sides
+        if pos == 1:
+            break
+    if passes != strands:
         raise ValidationError("braid closure is not a single component")
-    return diagram_from_visits(visits, signs, name)
+    return diagram_from_walk(walk, name)
 
 
 def torus_pd(t: TorusParams | tuple[int, int]) -> Diagram:
@@ -149,11 +112,8 @@ def torus_pd(t: TorusParams | tuple[int, int]) -> Diagram:
     if t.is_unknot:
         return Diagram.unknot(name)
     p, q = abs(t.p), abs(t.q)
-    word = list(range(1, p)) * q
-    d = braid_closure(word, p, name)
-    if t.p * t.q < 0:
-        d = renamed(mirror(d), name)
-    return d
+    sign = 1 if t.p * t.q > 0 else -1
+    return braid_closure([sign * g for g in range(1, p)] * q, p, name)
 
 
 # Twist-region and clasp chirality per twist sign, pinned by the anchor
@@ -185,18 +145,14 @@ def _hook_diagram(m: int, s_ladder: int, s_clasp: int,
     roles[c1] = s_clasp < 0
     roles[c2] = s_clasp > 0
 
-    first_seen = set()
-    visits = []
+    seen = set()
+    walk = []
     for key in seq:
-        if key in first_seen:
-            visits.append((key, not roles[key]))
-        else:
-            first_seen.add(key)
-            visits.append((key, roles[key]))
-
-    signs = {key: (s_ladder if key[0] == "t" else s_clasp)
-             for key in first_seen}
-    return diagram_from_visits(visits, signs, name)
+        # roles[key] is the over flag of the first visit.
+        over = roles[key] != (key in seen)
+        seen.add(key)
+        walk.append((key, over, s_ladder if key[0] == "t" else s_clasp))
+    return diagram_from_walk(walk, name)
 
 
 def whitehead_pd(w: WhiteheadIndex | int) -> Diagram:

@@ -132,28 +132,14 @@ def emit_fish_svg(records: list[KnotRecord], crossing_number: int,
     return out
 
 
-def _torus_points_with_unknotting(u: int):
-    pts = []
-    for a in range(1, 2 * u + 1):
-        if (2 * u) % a:
-            continue
-        p, q = a + 1, (2 * u) // a + 1
-        if p < q and gcd(p, q) == 1:
-            pair = torus_v2v3((p, q))
-            pts.append((p, q, pair))
-    return pts
-
-
-def _torus_points_with_crossing(c: int):
-    pts = []
-    for d in range(1, c + 1):
-        if c % d:
-            continue
-        p, q = d + 1, c // d
-        if 2 <= p < q and gcd(p, q) == 1:
-            pair = torus_v2v3((p, q))
-            pts.append((p, q, pair))
-    return pts
+def _torus_pairs(n: int, shift: int):
+    """Coprime 2 <= p < q with q = n/(p-1) + shift: the torus knots T(p, q)
+    with unknotting number n/2 (shift 1) or crossing number n (shift 0)."""
+    for a in range(1, n + 1):
+        if n % a == 0:
+            p, q = a + 1, n // a + shift
+            if p < q and gcd(p, q) == 1:
+                yield p, q
 
 
 def emit_torus_overlay_svg(u_values: list[int], c_values: list[int],
@@ -165,20 +151,16 @@ def emit_torus_overlay_svg(u_values: list[int], c_values: list[int],
     """
     curves = []
     points = []
-    for u in u_values:
-        plus, minus = torus_curve_samples("unknotting", u, samples)
-        curves.append((f"u={u} (+)", plus))
-        curves.append((f"u={u} (-)", minus))
-        for p, q, pair in _torus_points_with_unknotting(u):
-            points.append((float(pair.v2), float(pair.v3), f"T({p},{q})"))
-            points.append((float(pair.v2), float(-pair.v3), f"T({p},-{q})"))
-    for c in c_values:
-        plus, minus = torus_curve_samples("crossing", c, samples)
-        curves.append((f"c={c} (+)", plus))
-        curves.append((f"c={c} (-)", minus))
-        for p, q, pair in _torus_points_with_crossing(c):
-            points.append((float(pair.v2), float(pair.v3), f"T({p},{q})"))
-            points.append((float(pair.v2), float(-pair.v3), f"T({p},-{q})"))
+    for mode, values, scale, shift in (("unknotting", u_values, 2, 1),
+                                       ("crossing", c_values, 1, 0)):
+        for v in values:
+            plus, minus = torus_curve_samples(mode, v, samples)
+            curves.append((f"{mode[0]}={v} (+)", plus))
+            curves.append((f"{mode[0]}={v} (-)", minus))
+            for p, q in _torus_pairs(scale * v, shift):
+                pair = torus_v2v3((p, q))
+                points.append((float(pair.v2), float(pair.v3), f"T({p},{q})"))
+                points.append((float(pair.v2), float(-pair.v3), f"T({p},-{q})"))
     points.sort()
     title_bits = []
     if u_values:

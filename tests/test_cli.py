@@ -55,6 +55,19 @@ def test_invariants_from_file_named_like_a_gauss_code(capsys, tmp_path,
     assert "jones: -q^4 + q^3 + q" in out
 
 
+def test_invariants_reads_a_file_as_a_code_only(capsys, tmp_path,
+                                                monkeypatch):
+    # A file whose text is a path, its own included, is not followed.
+    (tmp_path / "loop.pd").write_text("loop.pd\n")
+    (tmp_path / "knot.pd").write_text(TREFOIL_PD + "\n")
+    (tmp_path / "link.pd").write_text("knot.pd\n")
+    monkeypatch.chdir(tmp_path)
+    for name, text in [("loop.pd", "loop.pd"), ("link.pd", "knot.pd")]:
+        code, out, err = run(capsys, "invariants", name)
+        assert (code, out) == (1, "")
+        assert err == f"error: unexpected token at position 0: {text!r}\n"
+
+
 def test_invariants_runs_the_state_sum_once(capsys, monkeypatch):
     calls = count_bracket_calls(monkeypatch)
     code, out, _ = run(capsys, "invariants", to_pd_text(torus_pd((3, 5))))

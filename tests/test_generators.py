@@ -2,7 +2,8 @@ from math import gcd
 
 import pytest
 
-from knotfish.diagram import writhe
+from knotfish.diagram import (connect_sum, mirror, parse_gauss, to_pd_text,
+                              writhe)
 from knotfish.errors import InputError, ValidationError
 from knotfish.generators import (TorusParams, WhiteheadIndex, braid_closure,
                                  torus_pd, whitehead_closed_form, whitehead_pd)
@@ -66,6 +67,36 @@ def test_torus_mirror_parameters():
         assert (m.v2, m.v3) == (v.v2, -v.v3)
 
 
+def test_torus_negative_parameter_is_the_mirror_diagram():
+    for p in range(2, 6):
+        for q in range(2, 8):
+            if gcd(p, q) == 1:
+                assert (to_pd_text(torus_pd((p, -q)))
+                        == to_pd_text(mirror(torus_pd((p, q)))))
+                assert (to_pd_text(torus_pd((-p, q)))
+                        == to_pd_text(mirror(torus_pd((p, q)))))
+
+
+@pytest.mark.parametrize("build, pd_text", [
+    (lambda: braid_closure([1, -2, 1, -2], 3),
+     "PD[X(4,1,5,2),X(2,8,3,7),X(6,4,7,3),X(8,5,1,6)]"),
+    (lambda: torus_pd((3, -4)),
+     "PD[X(1,13,2,12),X(2,8,3,7),X(14,4,15,3),X(9,5,10,4),X(5,1,6,16),"
+     "X(6,12,7,11),X(13,9,14,8),X(10,16,11,15)]"),
+    (lambda: whitehead_pd(-2),
+     "PD[X(1,11,2,10),X(9,3,10,2),X(3,9,4,8),X(7,5,8,4),X(5,12,6,1),"
+     "X(11,6,12,7)]"),
+    (lambda: connect_sum(torus_pd((2, 3)), whitehead_pd(-1)),
+     "PD[X(4,1,5,2),X(2,5,3,6),X(6,3,7,4),X(7,13,8,12),X(11,9,12,8),"
+     "X(9,14,10,1),X(13,10,14,11)]"),
+    (lambda: parse_gauss("O1+U2+O3+U1+O2+U3+"),
+     "PD[X(4,1,5,2),X(2,5,3,6),X(6,3,1,4)]"),
+])
+def test_walk_built_pd_text_is_pinned(build, pd_text):
+    """Edge labels and crossing order of the walk-built diagrams."""
+    assert to_pd_text(build()) == pd_text
+
+
 def test_whitehead_crossing_counts():
     for i in range(-4, 5):
         assert whitehead_pd(i).crossing_count == 2 * abs(i) + 2
@@ -101,12 +132,14 @@ def test_braid_closure_figure_eight():
 
 
 def test_braid_closure_rejects_links():
-    with pytest.raises(ValidationError):
-        braid_closure([1, 1], 2)          # Hopf link
-    with pytest.raises(ValidationError):
-        braid_closure([1], 3)             # untouched strand splits off
-    with pytest.raises(ValidationError):
-        braid_closure([], 2)
+    for word, strands in [
+        ([1, 1], 2),            # Hopf link
+        ([1], 3),               # untouched strand splits off
+        ([], 2),
+        ([1, 1, 1], 3),         # trefoil plus a split strand, though every
+    ]:                          # crossing is still visited twice
+        with pytest.raises(ValidationError, match="not a single component"):
+            braid_closure(word, strands)
 
 
 def test_braid_closure_rejects_bad_letters():

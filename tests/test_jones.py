@@ -3,9 +3,8 @@ from hypothesis import given, settings
 
 from conftest import (TREFOIL_GAUSS, TREFOIL_PD, count_bracket_calls,
                       jones_module, knot_braids)
-from knotfish.diagram import (Diagram, GaussCode, connect_sum,
-                              gauss_to_diagram, mirror, parse_gauss, parse_pd,
-                              to_gauss, writhe)
+from knotfish.diagram import (Diagram, connect_sum, diagram_from_walk,
+                              mirror, parse_gauss, parse_pd, to_gauss, writhe)
 from knotfish.errors import CrossingLimitError, ExactnessError
 from knotfish.generators import braid_closure, torus_pd, whitehead_pd
 from knotfish.jones import (InvariantPair, _pair_from_jones, arf, jones,
@@ -225,7 +224,7 @@ def assert_matches_jones_route(d):
     assert v2_v3(d) == expected
     entries = to_gauss(d).entries
     for k in range(1, len(entries)):
-        rotated = gauss_to_diagram(GaussCode(entries[k:] + entries[:k]))
+        rotated = diagram_from_walk(entries[k:] + entries[:k])
         assert v2_v3(rotated) == expected, k
 
 
@@ -263,7 +262,7 @@ def test_gauss_formulas_above_the_bracket_cap(first, second):
     assert v2_v3(connect_sum(d, e)) == (v2 + w2, v3 + w3)
     entries = to_gauss(d).entries
     for k in range(1, len(entries)):
-        rotated = gauss_to_diagram(GaussCode(entries[k:] + entries[:k]))
+        rotated = diagram_from_walk(entries[k:] + entries[:k])
         assert v2_v3(rotated) == (v2, v3), k
 
 
