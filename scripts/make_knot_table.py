@@ -6,23 +6,27 @@ twist-ladder constructors, so each row's identity is a mathematical fact
 of the construction (torus knots T(2,q)/T(3,q) and the twist-knot family)
 rather than transcribed table data.  Each row's (v2, v3) is checked twice,
 by the Gauss-diagram formulas of ``v2_v3`` and by the derivatives of the
-state-sum Jones polynomial, so the two methods cross-check each other.
-Knots outside these families have no offline source in this environment;
-see the README data note.
+state-sum Jones polynomial (the tests' oracle in ``tests/jones_oracle.py``),
+so the two methods cross-check each other.  Knots outside these families
+have no offline source; see the README data note.
 
 Run from the repository root:  python scripts/make_knot_table.py
+The tests call ``table_text`` and compare it with the bundled file.
 """
 
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from jones_oracle import pair_from_jones  # noqa: E402
 from knotfish import to_pd_text, torus_pd, v2_v3, whitehead_pd  # noqa: E402
 from knotfish.generators import _hook_diagram  # noqa: E402
-from knotfish.jones import _pair_from_jones, jones  # noqa: E402
+from knotfish.jones import jones  # noqa: E402
 
-OUT = Path(__file__).resolve().parents[1] / "src" / "knotfish" / "data" / "knots_upto10.txt"
+OUT = ROOT / "src" / "knotfish" / "data" / "knots_upto10.txt"
 
 # name -> (constructor, expected (v2, v3) of the constructed chirality)
 ROWS = [
@@ -42,7 +46,8 @@ ROWS = [
 ]
 
 
-def main() -> int:
+def table_text() -> str:
+    """The bundled table's text, after checking every row by both routes."""
     lines = [
         "# Prime-knot PD table (partial): every diagram below is generated",
         "# by the package's torus-braid and twist-ladder constructors, so",
@@ -59,13 +64,16 @@ def main() -> int:
         got = tuple(v2_v3(d))
         if got != expected:
             raise SystemExit(f"{name}: v2,v3 = {got}, want {expected}")
-        via_jones = tuple(_pair_from_jones(jones(d)))
+        via_jones = tuple(pair_from_jones(jones(d)))
         if via_jones != expected:
             raise SystemExit(f"{name}: v2,v3 from Jones = {via_jones}, want {expected}")
         lines.append(f"{name}\t{to_pd_text(d)}")
-        print(f"{name:7s} {d.crossing_count:2d} crossings  (v2,v3)={got}")
+    return "\n".join(lines) + "\n"
+
+
+def main() -> int:
     OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    OUT.write_text(table_text(), encoding="utf-8")
     print(f"wrote {OUT} ({len(ROWS)} records)")
     return 0
 

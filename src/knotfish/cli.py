@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 input error (bad arguments, unparsable codes,
 bad table rows), 2 computation error (crossing cap, exactness failures,
-out-of-domain formulas).  ``invariants --cap`` sets the state-sum
-crossing cap (default DEFAULT_CROSSING_CAP).  Tables and plots take
-(v2, v3) from Gauss-diagram formulas, with no cap.
+out-of-domain formulas).  ``invariants`` prints the Jones polynomial,
+whose state sum stops at ``--cap`` crossings (default
+DEFAULT_CROSSING_CAP).  Every subcommand, ``invariants`` included, takes
+(v2, v3) from the Gauss-diagram formulas of ``v2_v3``, which have no cap.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import table as table_mod
 from .diagram import Diagram, parse_gauss, parse_pd, to_pd_text, writhe
 from .errors import ComputationError, InputError
 from .generators import TorusParams, torus_pd, whitehead_pd
-from .jones import DEFAULT_CROSSING_CAP, InvariantPair, _pair_from_jones, arf, jones
+from .jones import DEFAULT_CROSSING_CAP, InvariantPair, arf, jones, v2_v3
 from .plots import emit_csv, emit_fish_svg, emit_torus_overlay_svg
 from .torus import pseudo_invariants, torus_report, torus_v2v3
 
@@ -69,7 +70,7 @@ def _load_table_arg(source: str):
 def _cmd_invariants(args) -> int:
     d = _parse_any_code(args.code)
     j = jones(d, args.cap)
-    pair = _pair_from_jones(j)
+    pair = v2_v3(d)
     print(f"crossings: {d.crossing_count}")
     print(f"writhe: {writhe(d)}")
     print(f"jones: {j}")

@@ -8,7 +8,9 @@ at position 1 up through the word, one pass at a time.  Twisted Whitehead
 doubles of the unknot are built as a 2-crossing clasp hooked over an
 antiparallel ladder of 2|i| same-sign twist crossings.  Every constructor
 emits a signed walk, and ``diagram.diagram_from_walk`` turns it into the
-diagram, so edge labels come from that one orientation walk.
+diagram, so edge labels come from that one orientation walk.  Torus
+parameters, Whitehead indices, strand counts and braid letters must each
+be an ``int`` (not a ``bool``); anything else raises InputError.
 
 Both families carry a chirality convention that a picture cannot pin
 down; each is calibrated against anchor values (T(2,3) and the i = 1,
@@ -28,6 +30,13 @@ __all__ = ["TorusParams", "WhiteheadIndex", "torus_pd", "whitehead_pd",
            "whitehead_closed_form", "braid_closure"]
 
 
+def _check_ints(what: str, *values) -> None:
+    """Raise InputError unless every value is an ``int`` (not a ``bool``)."""
+    for v in values:
+        if type(v) is not int:
+            raise InputError(f"{what} {v!r} is not an integer")
+
+
 class _TorusPair(NamedTuple):
     p: int
     q: int
@@ -40,6 +49,7 @@ class TorusParams(_TorusPair):
 
     def __new__(cls, p: int, q: int) -> TorusParams:
         self = super().__new__(cls, p, q)
+        _check_ints("torus parameter", p, q)
         if p == 0 or q == 0:
             raise InputError(f"torus parameters must be nonzero, got {self}")
         if gcd(abs(p), abs(q)) != 1:
@@ -72,6 +82,13 @@ class WhiteheadIndex(NamedTuple):
     i: int
 
 
+def _whitehead_index(w: WhiteheadIndex | int) -> int:
+    """The twist count of ``w``, checked to be an ``int``."""
+    i = w.i if isinstance(w, WhiteheadIndex) else w
+    _check_ints("Whitehead index", i)
+    return i
+
+
 def braid_closure(word: list[int], strands: int,
                   name: str | None = None) -> Diagram:
     """Close a braid word into a knot diagram.
@@ -80,8 +97,10 @@ def braid_closure(word: list[int], strands: int,
     (1-based positions), with the sign selecting the crossing chirality.
     The closure must be a single component or ValidationError is raised.
     """
+    _check_ints("strand count", strands)
     if strands < 1:
         raise InputError("braid needs at least one strand")
+    _check_ints("braid letter", *word)
     for g in word:
         if g == 0 or abs(g) >= strands:
             raise InputError(f"letter {g} invalid on {strands} strands")
@@ -161,12 +180,12 @@ def whitehead_pd(w: WhiteheadIndex | int) -> Diagram:
     Emitted as drawn: 2|i| twist crossings plus the 2-crossing clasp,
     so i = 0 gives a 2-crossing diagram of the unknot.
     """
-    i = w.i if isinstance(w, WhiteheadIndex) else int(w)
+    i = _whitehead_index(w)
     s_ladder, s_clasp = _WH_POSITIVE if i >= 0 else _WH_NEGATIVE
     return _hook_diagram(2 * abs(i), s_ladder, s_clasp, name=f"Wh({i})")
 
 
 def whitehead_closed_form(w: WhiteheadIndex | int) -> InvariantPair:
     """(v2, v3) of the i-th Whitehead double: (i, i(i+1)/2)."""
-    i = w.i if isinstance(w, WhiteheadIndex) else int(w)
+    i = _whitehead_index(w)
     return InvariantPair(i, i * (i + 1) // 2)

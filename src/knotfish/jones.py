@@ -14,13 +14,11 @@ polynomial is assembled once at the end, expanding
 exponent by -4, so the positive trefoil comes out as -q^4 + q^3 + q; with
 the smoothing conventions of this module that pins the divisor to -4 (the
 anchor test in the suite guards the choice), and an exponent it does not
-divide is an ExactnessError.  The derivative formulas
+divide is an ExactnessError.  The Jones polynomial is an output only:
+``knotfish invariants`` prints it and takes (v2, v3) from ``v2_v3``.  The
+derivative formulas
   v2 = -J''(1)/6        v3 = -(J'''(1) + 3 J''(1))/36
-then yield integers; a non-exact division is a hard error, never rounded.
-
-``knotfish invariants`` reads (v2, v3) off the one Jones polynomial it
-prints this way, and the tests use the same step as the oracle for
-``v2_v3``.
+live in the tests (``tests/jones_oracle.py``) as the oracle for ``v2_v3``.
 
 ``v2_v3`` runs no state sum: it counts signed arrow subdiagrams of the
 Gauss diagram (Polyak-Viro, "Gauss diagram formulas for Vassiliev
@@ -34,8 +32,8 @@ with chords a, b, c labelled in order of first appearance,
        U_a O_b O_c U_b O_a U_c     O_a U_b U_a O_c O_b U_c
        O_a U_b O_c U_a O_b U_c,
 so v2 costs O(c^2) and v3 O(c^3).  The tests check both sums against
-the Jones route on random braid closures, their mirrors, connected sums,
-Whitehead doubles and every rotation of the base point.
+the Jones derivatives on random braid closures, their mirrors, connected
+sums, Whitehead doubles and every rotation of the base point.
 """
 
 from __future__ import annotations
@@ -134,20 +132,6 @@ def jones(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly:
                 "diagram is not a knot diagram or conventions are broken")
         terms[q] = sign * c
     return LaurentPoly(terms)
-
-
-def _pair_from_jones(j: LaurentPoly) -> InvariantPair:
-    """(v2, v3) from the derivatives at 1 of the Jones polynomial ``j``."""
-    j2 = j.falling_factorial_sum(2)
-    j3 = j.falling_factorial_sum(3)
-    v2, rem = divmod(-j2, 6)
-    if rem:
-        raise ExactnessError(f"v2 division not exact: J''(1) = {j2}")
-    v3, rem = divmod(-(j3 + 3 * j2), 36)
-    if rem:
-        raise ExactnessError(
-            f"v3 division not exact: J'''(1) = {j3}, J''(1) = {j2}")
-    return InvariantPair(v2, v3)
 
 
 def _chords(d: Diagram):

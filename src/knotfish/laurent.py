@@ -2,7 +2,10 @@
 
 ``LaurentPoly`` is the value ``kauffman_bracket`` and ``jones`` return,
 which they build in plain dicts.  It compares, multiplies (the product
-checks J(K1 # K2) = J(K1) J(K2)), takes derivatives at 1 and formats.
+checks J(K1 # K2) = J(K1) J(K2)) and prints in the variable q.  It also
+takes derivatives at 1, which no library route reads: the tests' Jones
+oracle (``tests/jones_oracle.py``) calls them, and the benchmark's tracer
+wraps ``falling_factorial_sum`` by name.
 
 The representation is a sparse map exponent -> coefficient with no stored
 zeros, so equality is map equality.  Coefficients are plain Python ints
@@ -48,7 +51,11 @@ class LaurentPoly:
         return LaurentPoly(result)
 
     def falling_factorial_sum(self, n: int) -> int:
-        """Value of the n-th derivative at 1: sum c_k * k(k-1)...(k-n+1)."""
+        """Value of the n-th derivative at 1: sum c_k * k(k-1)...(k-n+1).
+
+        Read by the tests' Jones oracle and wrapped by the benchmark's
+        tracer; the library itself takes (v2, v3) from ``v2_v3``.
+        """
         if n < 0:
             raise ValueError("derivative order must be nonnegative")
         total = 0
@@ -59,8 +66,8 @@ class LaurentPoly:
             total += c * prod
         return total
 
-    def format(self, var: str = "q") -> str:
-        """Render with terms in decreasing exponent order, e.g. ``-q^4 + q^3 + q``."""
+    def __str__(self) -> str:
+        """Terms in decreasing exponent order, e.g. ``-q^4 + q^3 + q``."""
         if not self._terms:
             return "0"
         pieces = []
@@ -71,7 +78,7 @@ class LaurentPoly:
             if e == 0:
                 body = str(mag)
             else:
-                power = var if e == 1 else f"{var}^{e}"
+                power = "q" if e == 1 else f"q^{e}"
                 body = power if mag == 1 else f"{mag}*{power}"
             pieces.append((sign, body))
         first_sign, first_body = pieces[0]
@@ -79,9 +86,6 @@ class LaurentPoly:
         for sign, body in pieces[1:]:
             out += f" {sign} {body}"
         return out
-
-    def __str__(self) -> str:
-        return self.format()
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self._terms!r})"

@@ -3,11 +3,13 @@ from importlib import resources
 import pytest
 
 from conftest import TREFOIL_GAUSS, TREFOIL_PD, count_bracket_calls
+from jones_oracle import pair_from_jones
 from knotfish import cli
 from knotfish.cli import cli_main
-from knotfish.diagram import parse_pd, to_pd_text
-from knotfish.generators import torus_pd
-from knotfish.jones import v2_v3
+from knotfish.diagram import (connect_sum, mirror, parse_gauss, parse_pd,
+                              to_gauss, to_pd_text, writhe)
+from knotfish.generators import torus_pd, whitehead_pd
+from knotfish.jones import arf, jones, v2_v3
 from knotfish.table import BUNDLED_TABLE
 from knotfish.torus import torus_v2v3
 
@@ -74,6 +76,32 @@ def test_invariants_runs_the_state_sum_once(capsys, monkeypatch):
     assert code == 0
     assert "v2: 8" in out and "v3: 20" in out
     assert calls == [10]
+
+
+@pytest.mark.parametrize("code", [
+    TREFOIL_PD,
+    TREFOIL_GAUSS,
+    "PD[]",
+    to_pd_text(mirror(torus_pd((2, 5)))),
+    to_gauss(connect_sum(torus_pd((2, 3)), whitehead_pd(-1))).text(),
+    to_pd_text(whitehead_pd(-2)),
+    to_gauss(whitehead_pd(1)).text(),
+    to_pd_text(whitehead_pd(3)),
+], ids=["trefoil-pd", "trefoil-gauss", "empty-pd", "mirror-T25",
+        "sum-gauss", "Wh-2", "Wh1-gauss", "Wh3"])
+def test_invariants_stdout_is_pinned(capsys, code):
+    """The whole stdout, line by line, built from the library; the printed
+    (v2, v3) also equal the Jones derivatives of the printed J."""
+    d = parse_pd(code) if code.startswith("PD[") else parse_gauss(code)
+    j, pair = jones(d), v2_v3(d)
+    assert pair == pair_from_jones(j)
+    assert run(capsys, "invariants", code) == (0, (
+        f"crossings: {d.crossing_count}\n"
+        f"writhe: {writhe(d)}\n"
+        f"jones: {j}\n"
+        f"v2: {pair.v2}\n"
+        f"v3: {pair.v3}\n"
+        f"arf: {arf(pair)}\n"), "")
 
 
 def test_invariants_garbage_is_input_error(capsys):

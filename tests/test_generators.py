@@ -151,3 +151,26 @@ def test_braid_closure_rejects_bad_letters():
 
 def test_braid_closure_single_strand_unknot():
     assert braid_closure([], 1).crossing_count == 0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: whitehead_pd(2.9), "Whitehead index 2.9 is not an integer"),
+    (lambda: whitehead_pd("3"), "Whitehead index '3' is not an integer"),
+    (lambda: whitehead_pd(WhiteheadIndex(True)),
+     "Whitehead index True is not an integer"),
+    (lambda: whitehead_closed_form(WhiteheadIndex(2.5)),
+     "Whitehead index 2.5 is not an integer"),
+    (lambda: braid_closure([1, 2.0, 1, 2.0], 3),
+     "braid letter 2.0 is not an integer"),
+    (lambda: braid_closure([True] * 3, 2), "braid letter True is not an integer"),
+    (lambda: braid_closure([1, 1, 1], 2.0), "strand count 2.0 is not an integer"),
+    (lambda: TorusParams(2.0, 3), "torus parameter 2.0 is not an integer"),
+    (lambda: TorusParams(2, True), "torus parameter True is not an integer"),
+    (lambda: torus_pd((3, "4")), "torus parameter '4' is not an integer"),
+], ids=["wh-float", "wh-str", "wh-bool", "wh-closed-form-float",
+        "braid-float-letter", "braid-bool-letters", "braid-float-strands",
+        "torus-float", "torus-bool", "torus-str"])
+def test_family_parameters_must_be_integers(build, message):
+    with pytest.raises(InputError) as error:
+        build()
+    assert str(error.value) == message
