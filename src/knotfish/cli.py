@@ -139,14 +139,7 @@ def _cmd_torus(args) -> int:
     print(f"recovered from invariants: u = {rep.recovered_unknotting}, "
           f"c = {_num(rep.recovered_crossing)}")
     print(f"pseudo-invariants: u~ = {_num(rep.pseudo[0])}, c~ = {_num(rep.pseudo[1])}")
-    checks = [
-        ("cubic bounds", rep.cubic.all_hold),
-        ("unknotting bounds + corollary", rep.unknotting_bounds.all_hold),
-        ("crossing bounds + corollary (derived constants)", rep.crossing_bounds.all_hold),
-        ("crossing quartic", rep.quartic_holds),
-        ("pseudo-invariants coincide", rep.pseudo == (rep.unknotting, rep.crossing)),
-    ]
-    for label, ok in checks:
+    for label, ok in rep.checks:
         print(f"  [{'pass' if ok else 'FAIL'}] {label}")
     return 0 if rep.consistent else 2
 

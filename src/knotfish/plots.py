@@ -69,14 +69,13 @@ def _render_svg(points: list[tuple[float, float, str]],
         parts.append(f'<text x="{_WIDTH // 2}" y="{_MARGIN - 16}" font-size="14" '
                      'text-anchor="middle" font-family="sans-serif">'
                      f'{_xml_text(title)}</text>')
-    # zero axes when inside the frame
+    # zero axes; the v3 range is symmetric, so the v2-axis is always inside
     if x0 < 0 < x1:
         parts.append(f'<line x1="{_fmt(sx(0))}" y1="{_MARGIN}" x2="{_fmt(sx(0))}" '
                      f'y2="{_HEIGHT - _MARGIN}" stroke="#999999" stroke-width="0.7"/>')
-    if y0 < 0 < y1:
-        parts.append(f'<line x1="{_MARGIN}" y1="{_fmt(sy(0))}" x2="{_WIDTH - _MARGIN}" '
-                     f'y2="{_fmt(sy(0))}" stroke="#999999" stroke-width="0.7"/>')
-    parts.append(f'<text x="{_WIDTH - _MARGIN + 6}" y="{_fmt(sy(0) if y0 < 0 < y1 else _HEIGHT - _MARGIN)}" '
+    parts.append(f'<line x1="{_MARGIN}" y1="{_fmt(sy(0))}" x2="{_WIDTH - _MARGIN}" '
+                 f'y2="{_fmt(sy(0))}" stroke="#999999" stroke-width="0.7"/>')
+    parts.append(f'<text x="{_WIDTH - _MARGIN + 6}" y="{_fmt(sy(0))}" '
                  'font-size="12" font-family="sans-serif">v2</text>')
     parts.append(f'<text x="{_fmt(sx(0) if x0 < 0 < x1 else _MARGIN)}" y="{_MARGIN - 4}" '
                  'font-size="12" font-family="sans-serif">v3</text>')

@@ -1,8 +1,9 @@
 """Prime-knot table ingestion and the maxima-vs-bounds audits.
 
 Table files are UTF-8 text, one record per line, ``name<TAB>PD[...]``,
-with ``#`` comments and blank lines ignored.  The tabulated minimal
-crossing number is read from the name prefix (``10_124`` -> 10).
+with ``#`` comments and blank lines ignored; names are printable.  The
+tabulated minimal crossing number is read from the name prefix
+(``10_124`` -> 10), and no diagram may have fewer crossings.
 
 A partial table generated from the package's own torus and twist-knot
 constructors is bundled; see data/knots_upto10.txt for its provenance
@@ -64,6 +65,8 @@ def _parse_table_text(text: str, origin: str) -> list[KnotRecord]:
         if len(parts) != 2:
             raise InputError(f"{origin}:{lineno}: expected 'name<TAB>PD[...]'")
         name, pd_text = parts[0].strip(), parts[1].strip()
+        if not name.isprintable():
+            raise InputError(f"{origin}:{lineno}: record name {name!r} is not printable")
         if name in names:
             raise InputError(
                 f"{origin}:{lineno}: duplicate name {name!r} (first at line {names[name]})")
@@ -72,7 +75,11 @@ def _parse_table_text(text: str, origin: str) -> list[KnotRecord]:
             diagram = parse_pd(pd_text, name=name)
         except KnotfishError as exc:
             raise InputError(f"{origin}:{lineno}: {exc}") from exc
-        records.append(KnotRecord(name, _crossing_number_from_name(name), diagram))
+        c = _crossing_number_from_name(name)
+        if diagram.crossing_count < c:
+            raise InputError(f"{origin}:{lineno}: {name!r} names {c} crossings, "
+                             f"but its diagram has {diagram.crossing_count}")
+        records.append(KnotRecord(name, c, diagram))
     return records
 
 
@@ -83,9 +90,9 @@ def load_table(source: str | Path) -> list[KnotRecord]:
 
 
 def read_utf8(path: Path) -> str:
-    """Text of the file at ``path``; bytes that are not UTF-8 raise InputError."""
+    """Text of the file at ``path`` less any leading BOM; non-UTF-8 raises InputError."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 

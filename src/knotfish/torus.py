@@ -1,9 +1,9 @@
 """Closed-form arithmetic for torus knots: invariants, unknotting and
 crossing numbers, cubic bounds, recovery formulas, pseudo-invariants.
 
-Every inequality verdict here is exact: values are Fractions, and
-comparisons against k*sqrt(m) are resolved by sign analysis plus
-squaring, never by floating point.
+Every inequality verdict here is exact, in integers scaled by each bound's
+denominator: lhs against k*sqrt(m) is the sign of lhs|lhs| - k|k|m, never
+a float.  Only rho, the recovery radicands and the quartic are Fractions.
 
 Int-or-float rule: the "real" quantities (crossing_recovery and both
 pseudo-invariants) are exact ints when the radicands they use are perfect
@@ -57,22 +57,13 @@ def _sqrt_exact(f: Fraction) -> Fraction | None:
 
 
 def _cmp_to_root(lhs: Fraction, coeff: Fraction, radicand: Fraction) -> int:
-    """Exact sign of lhs - coeff*sqrt(radicand) (radicand >= 0)."""
+    """Exact sign of lhs - coeff*sqrt(radicand), radicand >= 0, in ints or
+    Fractions: as x|x| increases with x, it is the sign of
+    lhs|lhs| - coeff|coeff| radicand."""
     if radicand < 0:
         raise RadicandError(f"negative radicand {radicand}")
-    rhs_sign = 0 if (coeff == 0 or radicand == 0) else (1 if coeff > 0 else -1)
-    if lhs == 0:
-        return -rhs_sign
-    if lhs > 0 and rhs_sign <= 0:
-        return 1
-    if lhs < 0 and rhs_sign >= 0:
-        return -1
-    # same strict sign on both sides: compare squares, orient by that sign
-    diff = lhs * lhs - coeff * coeff * radicand
-    if diff == 0:
-        return 0
-    side = 1 if diff > 0 else -1
-    return side if lhs > 0 else -side
+    diff = lhs * abs(lhs) - coeff * abs(coeff) * radicand
+    return (diff > 0) - (diff < 0)
 
 
 def _int_or_float(x: Fraction) -> int | float:
@@ -128,12 +119,11 @@ def check_cubic_bounds(pair: InvariantPair) -> CubicBoundsReport:
     (2/3)v2^3 + (1/3)v2^2 <= v3^2 <= (8/9)v2^3 + (1/9)v2^2   and
     (2/3)v2^3 + (1/3)v2*v3 <= v3^2.
     """
-    v2 = Fraction(pair.v2)
-    v3 = Fraction(pair.v3)
-    v3sq = v3 * v3
-    lower1 = Fraction(2, 3) * v2 ** 3 + Fraction(1, 3) * v2 ** 2
-    upper = Fraction(8, 9) * v2 ** 3 + Fraction(1, 9) * v2 ** 2
-    lower2 = Fraction(2, 3) * v2 ** 3 + Fraction(1, 3) * v2 * v3
+    v2, v3 = pair                   # every side below is scaled by 9
+    v3sq = 9 * v3 * v3
+    lower1 = 6 * v2 ** 3 + 3 * v2 ** 2
+    upper = 8 * v2 ** 3 + v2 ** 2
+    lower2 = 6 * v2 ** 3 + 3 * v2 * v3
     return CubicBoundsReport(
         lower1_holds=lower1 <= v3sq,
         upper_holds=v3sq <= upper,
@@ -183,15 +173,14 @@ class UnknottingBoundsReport(NamedTuple):
 
 def check_unknotting_bounds(t: TorusParams | tuple[int, int]) -> UnknottingBoundsReport:
     t = _as_torus(t, unknot_error="bounds apply to nontrivial torus knots")
-    v2 = Fraction(torus_v2v3(t).v2)
+    v2 = torus_v2v3(t).v2
     u = torus_unknotting(t)
-    left = Fraction(u * (u + 1), 2) - v2                      # >= 0
-    # v2 - u(u+2)/6 >= (u/6) sqrt(8u+1)
-    right_cmp = _cmp_to_root(v2 - Fraction(u * (u + 2), 6),
-                             Fraction(u, 6), Fraction(8 * u + 1))
+    left = u * (u + 1) - 2 * v2                               # >= 0, scaled by 2
+    # 6 v2 - u(u+2) >= u sqrt(8u+1), scaled by 6
+    right_cmp = _cmp_to_root(6 * v2 - u * (u + 2), u, 8 * u + 1)
     # corollary: 2u + 1 >= sqrt(1+8v2)  and  2u + 5 <= sqrt(24v2+25)
-    cor_left_cmp = _cmp_to_root(Fraction(2 * u + 1), Fraction(1), 1 + 8 * v2)
-    cor_right_cmp = _cmp_to_root(Fraction(2 * u + 5), Fraction(1), 24 * v2 + 25)
+    cor_left_cmp = _cmp_to_root(2 * u + 1, 1, 1 + 8 * v2)
+    cor_right_cmp = _cmp_to_root(2 * u + 5, 1, 24 * v2 + 25)
     return UnknottingBoundsReport(
         left_holds=left >= 0,
         right_holds=right_cmp >= 0,
@@ -219,7 +208,7 @@ def _radicands(pair: InvariantPair) -> tuple[Fraction, Fraction, Fraction]:
 def crossing_recovery(pair: InvariantPair) -> int | float:
     """c = rho - (sqrt((rho-1)^2 - 24 v2) + sqrt((rho+1)^2 - 24 v2)) / 2."""
     r, rad_plus, rad_minus = _radicands(pair)
-    if rad_plus < 0 or rad_minus < 0:
+    if rad_minus < 0:           # rad_plus = rad_minus + 4 rho >= rad_minus
         raise RadicandError("crossing recovery radicand negative")
     s_plus = _sqrt_exact(rad_plus)
     s_minus = _sqrt_exact(rad_minus)
@@ -266,15 +255,14 @@ class CrossingBoundsReport(NamedTuple):
 
 def check_crossing_bounds(t: TorusParams | tuple[int, int]) -> CrossingBoundsReport:
     t = _as_torus(t, unknot_error="bounds apply to nontrivial torus knots")
-    v2 = Fraction(torus_v2v3(t).v2)
+    v2 = torus_v2v3(t).v2
     c = torus_crossing(t)
-    left = Fraction(c * c - 1, 8) - v2                        # >= 0
-    # v2 - c(c+1)/24 >= (c/12) sqrt(c+1)
-    right_cmp = _cmp_to_root(v2 - Fraction(c * (c + 1), 24),
-                             Fraction(c, 12), Fraction(c + 1))
+    left = c * c - 1 - 8 * v2                                 # >= 0, scaled by 8
+    # 24 v2 - c(c+1) >= 2c sqrt(c+1), scaled by 24
+    right_cmp = _cmp_to_root(24 * v2 - c * (c + 1), 2 * c, c + 1)
     # derived corollary: 2c + 5 <= sqrt(96 v2 + 25)  and  c >= sqrt(8 v2 + 1)
-    cor_left_cmp = _cmp_to_root(Fraction(2 * c + 5), Fraction(1), 96 * v2 + 25)
-    cor_right_cmp = _cmp_to_root(Fraction(c), Fraction(1), 8 * v2 + 1)
+    cor_left_cmp = _cmp_to_root(2 * c + 5, 1, 96 * v2 + 25)
+    cor_right_cmp = _cmp_to_root(c, 1, 8 * v2 + 1)
     return CrossingBoundsReport(
         left_holds=left >= 0,
         right_holds=right_cmp >= 0,
@@ -296,11 +284,11 @@ def pseudo_invariants(pair: InvariantPair) -> tuple[int | float, int | float]:
     """
     if pair.v2 == 0:
         raise ComputationError("pseudo-invariants undefined: v2 = 0")
-    if (6 * abs(pair.v3) - abs(pair.v2)) ** 2 < 24 * pair.v2 ** 3:
+    r, rad_plus, rad_minus = _radicands(pair)
+    if rad_minus < 0:           # rad_minus v2^2 = (6|v3|-|v2|)^2 - 24 v2^3
         raise ConditionError(
             f"(6|v3|-|v2|)^2 >= 24 v2^3 fails for {tuple(pair)}")
-    c = crossing_recovery(pair)   # first: a negative radicand raises here
-    r, rad_plus, _ = _radicands(pair)
+    c = crossing_recovery(pair)
     s_plus = _sqrt_exact(rad_plus)
     if s_plus is not None:
         return _int_or_float((1 + r - s_plus) / 2), c
@@ -369,12 +357,21 @@ class TorusReport(NamedTuple):
     pseudo: tuple[int | float, int | float]
 
     @property
+    def checks(self) -> tuple[tuple[str, bool], ...]:
+        """The labelled relation checks that ``torus --report`` prints."""
+        return (("cubic bounds", self.cubic.all_hold),
+                ("unknotting bounds + corollary", self.unknotting_bounds.all_hold),
+                ("crossing bounds + corollary (derived constants)",
+                 self.crossing_bounds.all_hold),
+                ("crossing quartic", self.quartic_holds),
+                ("pseudo-invariants coincide",
+                 self.pseudo == (self.unknotting, self.crossing)))
+
+    @property
     def consistent(self) -> bool:
-        return (self.cubic.all_hold and self.unknotting_bounds.all_hold
-                and self.crossing_bounds.all_hold and self.quartic_holds
+        return (all(ok for _, ok in self.checks)
                 and self.recovered_unknotting == self.unknotting
-                and self.recovered_crossing == self.crossing
-                and self.pseudo == (self.unknotting, self.crossing))
+                and self.recovered_crossing == self.crossing)
 
 
 def torus_report(t: TorusParams | tuple[int, int]) -> TorusReport:

@@ -307,3 +307,45 @@ def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "pseudo_invariants", broken)
     with pytest.raises(ValueError, match="internal fault"):
         cli_main(["pseudo", "1", "1"])
+
+
+def test_invariants_reads_a_file_with_a_bom(capsys, tmp_path):
+    path = tmp_path / "bom.pd"
+    path.write_bytes(b"\xef\xbb\xbf" + TREFOIL_PD.encode() + b"\n")
+    code, out, err = run(capsys, "invariants", str(path))
+    assert (code, err) == (0, "")
+    assert "jones: -q^4 + q^3 + q" in out
+
+
+def test_plot_rejects_a_control_character_in_a_name(capsys, tmp_path):
+    table = tmp_path / "table.txt"
+    table.write_text("3_1\x01a\t" + TREFOIL_PD + "\n", encoding="utf-8")
+    svg = tmp_path / "out.svg"
+    code, _, err = run(capsys, "plot", str(table), "--crossing", "3", "--svg", str(svg))
+    assert code == 1
+    assert err.startswith("error: ") and "table.txt:1: " in err
+    assert not svg.exists()
+
+
+def test_torus_report_prints_the_report_checks(capsys, monkeypatch):
+    """The printed checklist is the report's own; one failed check turns
+    its line to FAIL and the exit code to 2."""
+    from knotfish import torus
+    code, out, _ = run(capsys, "torus", "2", "7", "--report")
+    lines = [line for line in out.splitlines() if line.startswith("  [")]
+    assert (code, lines) == (0, [
+        "  [pass] cubic bounds",
+        "  [pass] unknotting bounds + corollary",
+        "  [pass] crossing bounds + corollary (derived constants)",
+        "  [pass] crossing quartic",
+        "  [pass] pseudo-invariants coincide",
+    ])
+    monkeypatch.setattr(torus, "check_crossing_quartic", lambda t: False)
+    code, out, _ = run(capsys, "torus", "2", "7", "--report")
+    assert code == 2
+    assert "  [FAIL] crossing quartic\n" in out
+    lines = [line for line in out.splitlines() if line.startswith("  [")]
+    assert lines == [f"  [{'pass' if ok else 'FAIL'}] {label}"
+                     for label, ok in torus.torus_report((2, 7)).checks]
+    assert [ok for _, ok in torus.torus_report((2, 7)).checks] == [
+        True, True, True, False, True]

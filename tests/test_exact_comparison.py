@@ -75,3 +75,21 @@ def test_sqrt_exact():
     assert _sqrt_exact(F(2)) is None
     assert _sqrt_exact(F(0)) == 0
     assert _sqrt_exact(F(-4)) is None
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**3, 10**3),
+       st.integers(0, 10**6))
+def test_comparator_on_ints_matches_fractions(lhs, coeff, rad):
+    """The bound checks pass ints; the verdict is the same as on Fractions
+    and, by the isqrt floor of coeff^2 * rad, right."""
+    verdict = _cmp_to_root(lhs, coeff, rad)
+    assert verdict == _cmp_to_root(F(lhs), F(coeff), F(rad))
+    # coeff*sqrt(rad) = sign(coeff)*sqrt(n), and sqrt(n) lies in [s, s+1)
+    n = coeff * coeff * rad
+    s = isqrt(n)
+    signed = lhs if coeff >= 0 else -lhs
+    if s * s == n:
+        expect = (signed > s) - (signed < s)
+    else:
+        expect = 1 if signed > s else -1
+    assert verdict == (expect if coeff >= 0 else -expect)

@@ -197,3 +197,34 @@ def test_printed_bound_mismatches():
     assert (7, "v2", Fraction(21, 2), Fraction(23, 2)) in mism
     assert (7, "v3", Fraction(105, 2), Fraction(115, 2)) in mism
     assert len(mism) == 3
+
+
+def test_load_drops_a_leading_bom(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + f"3_1\t{TREFOIL_PD}\n".encode())
+    assert [rec.name for rec in load_table(path)] == ["3_1"]
+
+
+@pytest.mark.parametrize("name", ["3_1\x01a", "3_1\x7f", "3_1\u200b"])
+def test_load_rejects_unprintable_names(tmp_path, name):
+    """Names reach SVG and CSV output, so they must be printable."""
+    path = write_table(tmp_path, f"# header\n{name}\t{TREFOIL_PD}\n")
+    with pytest.raises(InputError, match=r":2: record name .* is not printable"):
+        load_table(path)
+
+
+def test_load_rejects_a_diagram_below_its_crossing_number(tmp_path):
+    """A diagram with k crossings has crossing number at most k."""
+    path = write_table(tmp_path, f"3_1\t{TREFOIL_PD}\n5_1\t{TREFOIL_PD}\n")
+    with pytest.raises(InputError, match="table.txt:2: '5_1' names 5 crossings, "
+                                         "but its diagram has 3"):
+        load_table(path)
+
+
+def test_load_accepts_a_diagram_above_its_crossing_number(tmp_path):
+    from knotfish.diagram import to_pd_text
+    from knotfish.generators import torus_pd
+    path = write_table(tmp_path, f"3_1\t{to_pd_text(torus_pd((3, 2)))}\n")
+    [rec] = compute_all(load_table(path))
+    assert (rec.crossing_number, rec.diagram.crossing_count) == (3, 4)
+    assert tuple(rec.invariants) == (1, 1)

@@ -245,3 +245,18 @@ def test_unknotting_recovery_is_pseudo_unknotting(pair):
     pseudo = _outcome(pseudo_invariants, pair)
     if u is not None and pseudo is not None:
         assert u == pseudo[0] and type(pseudo[0]) is int
+
+
+def test_cubic_bounds_match_their_fraction_forms():
+    """check_cubic_bounds compares integers scaled by 9; on a grid its
+    verdicts equal the printed bounds taken in Fractions."""
+    third = Fraction(1, 3)
+    for v2 in range(-12, 40):
+        for v3 in range(-300, 301, 5):
+            sq = Fraction(v3 * v3)
+            lower1 = 2 * third * v2 ** 3 + third * v2 ** 2
+            upper = Fraction(8, 9) * v2 ** 3 + Fraction(1, 9) * v2 ** 2
+            lower2 = 2 * third * v2 ** 3 + third * v2 * v3
+            assert tuple(check_cubic_bounds(InvariantPair(v2, v3))) == (
+                lower1 <= sq, sq <= upper, lower2 <= sq,
+                lower1 == sq, sq == upper, lower2 == sq), (v2, v3)
