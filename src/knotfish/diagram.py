@@ -20,7 +20,9 @@ the prefix with string methods.  The checks then run on flat integer lists
 indexed by edge label and by dart (crossing, slot); ``Crossing`` objects
 are built only once every check has passed.  Once the labels and signs
 pass, the orientation walk is edges 1, 2, ..., 2n in order, so it needs
-no check of its own.
+no check of its own, and it is not stored: edge label e is the e-th
+visit, so ``to_gauss`` and ``connect_sum`` derive the walk from the
+crossings' in-edges when they are called.
 
 Every diagram defined by a walk is built by ``diagram_from_walk`` from its
 signed walk, one (crossing key, over flag, sign) entry per visit: Gauss
@@ -72,14 +74,13 @@ class Diagram:
     Equality compares the crossing tuples (names are labels, not content).
     """
 
-    __slots__ = ("crossings", "edge_count", "name", "_visits")
+    __slots__ = ("crossings", "edge_count", "name")
 
     def __init__(self, crossings: tuple[Crossing, ...], edge_count: int,
-                 name: str | None, visits: tuple[tuple[int, bool], ...]):
+                 name: str | None):
         object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "edge_count", edge_count)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_visits", visits)
 
     def __setattr__(self, *args):
         raise AttributeError("Diagram is immutable")
@@ -106,7 +107,7 @@ class Diagram:
 
     @staticmethod
     def unknot(name: str | None = None) -> Diagram:
-        return Diagram((), 0, name, ())
+        return Diagram((), 0, name)
 
     @staticmethod
     def from_tuples(tuples, name: str | None = None) -> Diagram:
@@ -123,7 +124,8 @@ class Diagram:
         Once the labels and signs pass, each strand entered by edge e
         leaves by edge e % 2n + 1, and the 2n in-edges are distinct, so
         every edge enters exactly one crossing and the orientation walk is
-        1, 2, ..., 2n: one component, with no walk left to check.
+        1, 2, ..., 2n: one component, with no walk left to check.  The
+        walk is not stored; ``_walk`` derives it from the in-edges.
         """
         tuples = [tuple(t) for t in tuples]
         if not tuples:
@@ -152,25 +154,36 @@ class Diagram:
 
         signs = [_derive_sign(t, ne) for t in tuples]
 
-        # Strand 2*i + over runs through crossing i; entered[e] is the
-        # strand that edge e enters.
-        entered = [-1] * (ne + 1)
-        for i, (a, b, _, d) in enumerate(tuples):
-            if signs[i] < 0:
+        entered = bytearray(ne + 1)     # entered[e]: edge e enters a crossing
+        for (a, b, _, d), sign in zip(tuples, signs):
+            if sign < 0:
                 b = d           # the over-strand enters by d
-            if entered[a] >= 0:
+            if entered[a]:
                 raise ValidationError(
                     f"edge {a} enters two crossings; orientation inconsistent")
-            entered[a] = 2 * i
-            if entered[b] >= 0:
+            entered[a] = 1
+            if entered[b]:
                 raise ValidationError(
                     f"edge {b} enters two crossings; orientation inconsistent")
-            entered[b] = 2 * i + 1
+            entered[b] = 1
 
         _check_planar(tuples, ne)
-        # The walk takes edges 1, 2, ..., 2n in order (see the docstring).
-        return Diagram(tuple(map(Crossing, tuples, signs)), ne, name,
-                       tuple([(s >> 1, (s & 1) == 1) for s in entered[1:]]))
+        return Diagram(tuple(map(Crossing, tuples, signs)), ne, name)
+
+
+def _walk(d: Diagram) -> list[tuple[int, bool]]:
+    """The orientation walk of ``d``: (crossing index, over flag) per visit.
+
+    Edge label e is the e-th visit: edge e enters the crossing visited
+    e-th, under by edges[0], over by edges[1] (sign +1) or edges[3]
+    (sign -1).  ``from_tuples`` proved the in-edges are 1..2n, once each.
+    """
+    walk = [None] * d.edge_count
+    for i, c in enumerate(d.crossings):
+        a, b, _, dd = c.edges
+        walk[a - 1] = (i, False)
+        walk[(b if c.sign > 0 else dd) - 1] = (i, True)
+    return walk
 
 
 def _derive_sign(t: tuple[int, int, int, int], ne: int) -> int:
@@ -354,7 +367,7 @@ def to_gauss(d: Diagram) -> GaussCode:
     in order of first visit."""
     number: dict[int, int] = {}
     entries = []
-    for i, over in d._visits:
+    for i, over in _walk(d):
         if i not in number:
             number[i] = len(number) + 1
         entries.append((number[i], over, d.crossings[i].sign))
@@ -384,8 +397,8 @@ def mirror(d: Diagram) -> Diagram:
 
 def connect_sum(d1: Diagram, d2: Diagram) -> Diagram:
     """Connected sum: splice d2's walk into d1's closing edge and relabel."""
-    walk = [(("a", i), over, d1.crossings[i].sign) for i, over in d1._visits]
-    walk += [(("b", i), over, d2.crossings[i].sign) for i, over in d2._visits]
+    walk = [(("a", i), over, d1.crossings[i].sign) for i, over in _walk(d1)]
+    walk += [(("b", i), over, d2.crossings[i].sign) for i, over in _walk(d2)]
     name = None
     if d1.name and d2.name:
         name = f"{d1.name}#{d2.name}"

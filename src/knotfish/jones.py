@@ -136,22 +136,20 @@ def jones(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly:
 
 def _chords(d: Diagram):
     """The Gauss diagram of ``d`` based at the start of its walk: one chord
-    per crossing, in order of first endpoint, as parallel lists of first
-    and last walk positions, whether the first visit passes under, and the
-    crossing sign."""
-    first, last, under_first, sign = [], [], [], []
-    slot = [-1] * d.crossing_count
-    for pos, (i, over) in enumerate(d._visits):
-        k = slot[i]
-        if k < 0:
-            slot[i] = len(first)
-            first.append(pos)
-            last.append(pos)
-            under_first.append(not over)
-            sign.append(d.crossings[i].sign)
-        else:
-            last[k] = pos
-    return first, last, under_first, sign
+    per crossing, in order of first endpoint, as parallel tuples of first
+    and last endpoint, whether the first visit passes under, and the
+    crossing sign.
+
+    Edge label e is the e-th visit, so a chord's endpoints are the labels
+    of the crossing's in-edges: edges[0] under, and edges[1] (sign +1) or
+    edges[3] (sign -1) over.
+    """
+    rows = []
+    for (a, b, _, dd), s in d.crossings:
+        o = b if s > 0 else dd
+        rows.append((a, o, True, s) if a < o else (o, a, False, s))
+    rows.sort()
+    return tuple(zip(*rows)) or ((), (), (), ())
 
 
 def v2_v3(d: Diagram) -> InvariantPair:

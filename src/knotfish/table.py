@@ -44,14 +44,15 @@ class KnotRecord(NamedTuple):
     error: str | None = None
 
 
-def _crossing_number_from_name(name: str) -> int:
+def _crossing_number_from_name(name: str) -> int | None:
+    """The crossing number that ``name`` starts with, or None."""
     head = name.split("_", 1)[0]
     if head.isdecimal():
         try:
             return int(head)
         except ValueError:      # more digits than int() converts
             pass
-    raise InputError(f"record name {name!r} does not start with a crossing number")
+    return None
 
 
 def _parse_table_text(text: str, origin: str) -> list[KnotRecord]:
@@ -76,6 +77,9 @@ def _parse_table_text(text: str, origin: str) -> list[KnotRecord]:
         except KnotfishError as exc:
             raise InputError(f"{origin}:{lineno}: {exc}") from exc
         c = _crossing_number_from_name(name)
+        if c is None:
+            raise InputError(f"{origin}:{lineno}: record name {name!r} "
+                             "does not start with a crossing number")
         if diagram.crossing_count < c:
             raise InputError(f"{origin}:{lineno}: {name!r} names {c} crossings, "
                              f"but its diagram has {diagram.crossing_count}")

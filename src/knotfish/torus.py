@@ -210,7 +210,13 @@ def crossing_recovery(pair: InvariantPair) -> int | float:
     r, rad_plus, rad_minus = _radicands(pair)
     if rad_minus < 0:           # rad_plus = rad_minus + 4 rho >= rad_minus
         raise RadicandError("crossing recovery radicand negative")
-    s_plus = _sqrt_exact(rad_plus)
+    return _recovered_crossing(r, rad_plus, rad_minus, _sqrt_exact(rad_plus))
+
+
+def _recovered_crossing(r: Fraction, rad_plus: Fraction, rad_minus: Fraction,
+                        s_plus: Fraction | None) -> int | float:
+    """c from rho and its radicands (rad_minus >= 0); s_plus is the exact
+    root of rad_plus, or None when it has none."""
     s_minus = _sqrt_exact(rad_minus)
     if s_plus is not None and s_minus is not None:
         return _int_or_float(r - (s_minus + s_plus) / 2)
@@ -288,8 +294,8 @@ def pseudo_invariants(pair: InvariantPair) -> tuple[int | float, int | float]:
     if rad_minus < 0:           # rad_minus v2^2 = (6|v3|-|v2|)^2 - 24 v2^3
         raise ConditionError(
             f"(6|v3|-|v2|)^2 >= 24 v2^3 fails for {tuple(pair)}")
-    c = crossing_recovery(pair)
     s_plus = _sqrt_exact(rad_plus)
+    c = _recovered_crossing(r, rad_plus, rad_minus, s_plus)
     if s_plus is not None:
         return _int_or_float((1 + r - s_plus) / 2), c
     return (1 + float(r) - math.sqrt(rad_plus)) / 2, c

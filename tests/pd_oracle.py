@@ -1,7 +1,11 @@
 """Reference PD reader: the token-by-token ``parse_pd`` and the dict-based
 ``Diagram.from_tuples`` and ``_check_planar`` as they stood before parsing
-and validation moved to one flat pass, kept unchanged so the tests can
-compare the two on generated codes.
+and validation moved to one flat pass, kept so the tests can compare the
+two on generated codes.
+
+The reference still traces the orientation walk crossing by crossing, and
+returns it next to the diagram, ``(diagram, walk)``, so that the tests can
+compare it with the walk the library derives from the edge labels.
 """
 
 from __future__ import annotations
@@ -37,10 +41,11 @@ class Crossing:
         return self.edges[3] if self.sign > 0 else self.edges[1]
 
 
-def from_tuples(tuples, name: str | None = None) -> Diagram:
+def from_tuples(tuples, name: str | None = None
+                ) -> tuple[Diagram, tuple[tuple[int, bool], ...]]:
     tuples = [tuple(t) for t in tuples]
     if not tuples:
-        return Diagram.unknot(name)
+        return Diagram.unknot(name), ()
     n = len(tuples)
     ne = 2 * n
 
@@ -96,7 +101,7 @@ def from_tuples(tuples, name: str | None = None) -> Diagram:
             "diagram has more than one component (walk misses crossings)")
 
     _check_planar(crossings, ne)
-    return Diagram(tuple(crossings), ne, name, tuple(visits))
+    return Diagram(tuple(crossings), ne, name), tuple(visits)
 
 
 def _derive_sign(t: tuple[int, int, int, int], ne: int) -> int:
@@ -153,13 +158,14 @@ def _check_planar(crossings, ne: int) -> None:
 _PD_TOKEN = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
-def parse_pd(text: str, name: str | None = None) -> Diagram:
+def parse_pd(text: str, name: str | None = None
+             ) -> tuple[Diagram, tuple[tuple[int, bool], ...]]:
     stripped = "".join(text.split())
     if not stripped.startswith("PD[") or not stripped.endswith("]"):
         raise PDSyntaxError("expected 'PD[...]'", 0)
     body = stripped[3:-1]
     if not body:
-        return Diagram.unknot(name)
+        return Diagram.unknot(name), ()
     tuples = []
     pos = 0
     while pos < len(body):

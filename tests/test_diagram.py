@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 import pd_oracle
 from conftest import TREFOIL_GAUSS, TREFOIL_PD, knot_braids
-from knotfish.diagram import (Diagram, connect_sum, mirror, parse_gauss,
-                              parse_pd, to_gauss, to_pd_text, writhe)
+from knotfish.diagram import (Diagram, _walk, connect_sum, mirror,
+                              parse_gauss, parse_pd, to_gauss, to_pd_text,
+                              writhe)
 from knotfish.errors import (GaussSyntaxError, PDSyntaxError, ValidationError)
 from knotfish.generators import braid_closure, torus_pd, whitehead_pd
 
@@ -133,6 +134,11 @@ def test_diagram_is_immutable():
         d.name = "other"
 
 
+def test_diagram_holds_only_its_crossings():
+    # The walk is derived from the edge labels, never stored.
+    assert Diagram.__slots__ == ("crossings", "edge_count", "name")
+
+
 # Every PD syntax error the parser can raise, with its offset in the text
 # after whitespace is removed.  A label is "too long" when it has more
 # digits than int() converts; the error names the token that holds it.
@@ -208,12 +214,21 @@ def test_labels_must_be_integers(label):
 
 def outcome(read, code):
     """What ``read`` makes of ``code``: the type and message of the error
-    it raises, or the edge count, crossings, signs and walk it builds."""
+    it raises, or the edge count, crossings, signs and walk it builds.
+
+    The reference reader returns the walk it traced next to the diagram;
+    the library's walk is the one it derives from the edge labels.
+    """
     try:
-        d = read(code)
+        result = read(code)
     except Exception as exc:
         return type(exc), str(exc)
-    return d.edge_count, [(c.edges, c.sign) for c in d.crossings], d._visits
+    if isinstance(result, Diagram):
+        d, walk = result, _walk(result)
+    else:
+        d, walk = result
+    return (d.edge_count, [(c.edges, c.sign) for c in d.crossings],
+            tuple(walk))
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Unit coverage for the exact radical comparator underpinning every
-bound verdict: sign analysis plus squaring, no floats anywhere."""
+bound verdict: one signed-square test, the sign of lhs|lhs| -
+coeff|coeff| radicand, with no floats anywhere."""
 
 from fractions import Fraction
 from math import isqrt

@@ -2,8 +2,8 @@ from math import gcd
 
 import pytest
 
-from knotfish.diagram import (connect_sum, mirror, parse_gauss, to_pd_text,
-                              writhe)
+from knotfish.diagram import (connect_sum, mirror, parse_gauss, to_gauss,
+                              to_pd_text, writhe)
 from knotfish.errors import InputError, ValidationError
 from knotfish.generators import (TorusParams, WhiteheadIndex, braid_closure,
                                  torus_pd, whitehead_closed_form, whitehead_pd)
@@ -77,24 +77,32 @@ def test_torus_negative_parameter_is_the_mirror_diagram():
                         == to_pd_text(mirror(torus_pd((p, q)))))
 
 
-@pytest.mark.parametrize("build, pd_text", [
+@pytest.mark.parametrize("build, pd_text, gauss_text", [
     (lambda: braid_closure([1, -2, 1, -2], 3),
-     "PD[X(4,1,5,2),X(2,8,3,7),X(6,4,7,3),X(8,5,1,6)]"),
+     "PD[X(4,1,5,2),X(2,8,3,7),X(6,4,7,3),X(8,5,1,6)]",
+     "O1+U2-O3-U1+O4+U3-O2-U4+"),
     (lambda: torus_pd((3, -4)),
      "PD[X(1,13,2,12),X(2,8,3,7),X(14,4,15,3),X(9,5,10,4),X(5,1,6,16),"
-     "X(6,12,7,11),X(13,9,14,8),X(10,16,11,15)]"),
+     "X(6,12,7,11),X(13,9,14,8),X(10,16,11,15)]",
+     "U1-U2-O3-O4-U5-U6-O2-O7-U4-U8-O6-O1-U7-U3-O8-O5-"),
     (lambda: whitehead_pd(-2),
      "PD[X(1,11,2,10),X(9,3,10,2),X(3,9,4,8),X(7,5,8,4),X(5,12,6,1),"
-     "X(11,6,12,7)]"),
+     "X(11,6,12,7)]",
+     "U1-O2-U3-O4-U5+O6+U4-O3-U2-O1-U6+O5+"),
     (lambda: connect_sum(torus_pd((2, 3)), whitehead_pd(-1)),
      "PD[X(4,1,5,2),X(2,5,3,6),X(6,3,7,4),X(7,13,8,12),X(11,9,12,8),"
-     "X(9,14,10,1),X(13,10,14,11)]"),
+     "X(9,14,10,1),X(13,10,14,11)]",
+     "O1+U2+O3+U1+O2+U3+U4-O5-U6+O7+U5-O4-U7+O6+"),
     (lambda: parse_gauss("O1+U2+O3+U1+O2+U3+"),
-     "PD[X(4,1,5,2),X(2,5,3,6),X(6,3,1,4)]"),
+     "PD[X(4,1,5,2),X(2,5,3,6),X(6,3,1,4)]",
+     "O1+U2+O3+U1+O2+U3+"),
 ])
-def test_walk_built_pd_text_is_pinned(build, pd_text):
-    """Edge labels and crossing order of the walk-built diagrams."""
-    assert to_pd_text(build()) == pd_text
+def test_walk_built_pd_text_is_pinned(build, pd_text, gauss_text):
+    """Edge labels, crossing order and derived Gauss code of the
+    walk-built diagrams."""
+    d = build()
+    assert to_pd_text(d) == pd_text
+    assert to_gauss(d).text() == gauss_text
 
 
 def test_whitehead_crossing_counts():

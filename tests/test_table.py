@@ -51,6 +51,15 @@ def test_load_rejects_bad_name(tmp_path):
         load_table(path)
 
 
+@pytest.mark.parametrize("name", ["zz", "x3_1", "_3", "9" * 5000])
+def test_bad_name_error_carries_its_location(tmp_path, name):
+    path = write_table(tmp_path, f"3_1\t{TREFOIL_PD}\n{name}\t{TREFOIL_PD}\n")
+    with pytest.raises(InputError) as err:
+        load_table(path)
+    assert str(err.value) == (f"{path}:2: record name {name!r} "
+                              "does not start with a crossing number")
+
+
 def test_bundled_diagrams_are_minimal(bundled_records):
     for rec in bundled_records:
         assert rec.diagram.crossing_count == rec.crossing_number, rec.name

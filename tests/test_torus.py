@@ -1,4 +1,5 @@
 from fractions import Fraction
+from hashlib import sha256
 from math import gcd, sqrt
 
 import pytest
@@ -260,3 +261,31 @@ def test_cubic_bounds_match_their_fraction_forms():
             assert tuple(check_cubic_bounds(InvariantPair(v2, v3))) == (
                 lower1 <= sq, sq <= upper, lower2 <= sq,
                 lower1 == sq, sq == upper, lower2 == sq), (v2, v3)
+
+
+def _recovery_outcomes(pairs):
+    """What crossing_recovery and pseudo_invariants give on each pair: the
+    repr of the value (3 and 3.0 differ) or the error class and message."""
+    lines = []
+    for pair in pairs:
+        for f in (crossing_recovery, pseudo_invariants):
+            try:
+                lines.append(repr(f(pair)))
+            except ComputationError as exc:
+                lines.append(f"{type(exc).__name__}: {exc}")
+    return "\n".join(lines)
+
+
+def test_recovery_outcomes_are_pinned_on_a_grid():
+    """Every value, type, error class and message of the two recoveries on
+    |v2| <= 24, |v3| <= 150 and on the torus pairs p < q <= 40 and their
+    mirrors, pinned by digest."""
+    pairs = [InvariantPair(v2, v3)
+             for v2 in range(-24, 25) for v3 in range(-150, 151)]
+    for p in range(2, 40):
+        for q in range(p + 1, 41):
+            if gcd(p, q) == 1:
+                pairs += [_torus_pair((p, q), False), _torus_pair((p, q), True)]
+    digest = sha256(_recovery_outcomes(pairs).encode()).hexdigest()
+    assert digest == ("356027283c088b26fa9e707c42c0c90b"
+                      "102391f6f02df3eb046a723fee2a75c4")
