@@ -1,7 +1,9 @@
 """Oriented knot-diagram codes: PD and signed Gauss.
 
 A diagram is a list of crossings, each a 4-tuple of edge labels read
-counterclockwise starting from the incoming under-strand.  Edges are
+counterclockwise starting from the incoming under-strand; a ``Diagram``
+stores them flat, crossing i in ``labels[4i:4i+4]`` with its sign in
+``signs[i]``, and every library path reads those two tuples.  Edges are
 labeled 1..2n along the orientation of the knot, so the successor of
 edge e is ``e % 2n + 1``.  The crossing sign is derived from the labels:
 +1 when d - b == 1 (mod 2n), -1 when b - d == 1 (mod 2n); the one-crossing
@@ -16,19 +18,18 @@ unknot is a first-class Diagram.
 Reading a PD code is one flat pass.  One regular expression matches the
 longest well-formed ``X(i,j,k,l),...`` prefix of the body, and a syntax
 error is read off where that prefix stops.  The labels are split out of
-the prefix with string methods.  The checks then run on flat integer lists
-indexed by edge label and by dart (crossing, slot); ``Crossing`` objects
-are built only once every check has passed.  Once the labels and signs
-pass, the orientation walk is edges 1, 2, ..., 2n in order, so it needs
-no check of its own, and it is not stored: edge label e is the e-th
-visit, so ``to_gauss`` and ``connect_sum`` derive the walk from the
-crossings' in-edges when they are called.
+the prefix with string methods, and ``_from_labels``, the one validator,
+checks that flat list; ``Diagram.from_tuples`` only checks tuple lengths
+and flattens.  Once the labels and signs pass, the orientation walk is
+edges 1, 2, ..., 2n in order, so it needs no check of its own, and it is
+not stored: edge label e is the e-th visit, so ``to_gauss`` and
+``connect_sum`` derive the walk from the in-edges when they are called.
 
 Every diagram defined by a walk is built by ``diagram_from_walk`` from its
 signed walk, one (crossing key, over flag, sign) entry per visit: Gauss
 codes, connected sums and the generators' braid closures and Whitehead
-doubles.  It runs the Gauss-code checks once and hands the PD tuples to
-``Diagram.from_tuples``, the one validator.
+doubles.  It runs the Gauss-code checks once and hands the flat PD labels
+to ``_from_labels``.
 
 ``Crossing`` and ``GaussCode`` are ``typing.NamedTuple`` records: immutable,
 with named fields, and equal to the plain tuple of their values.
@@ -37,6 +38,7 @@ with named fields, and equal to the plain tuple of their values.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import GaussSyntaxError, PDSyntaxError, ValidationError
@@ -74,32 +76,39 @@ class Diagram:
     Equality compares the crossing tuples (names are labels, not content).
     """
 
-    __slots__ = ("crossings", "edge_count", "name")
+    __slots__ = ("labels", "signs", "name")
 
-    def __init__(self, crossings: tuple[Crossing, ...], edge_count: int,
+    def __init__(self, labels: tuple[int, ...], signs: tuple[int, ...],
                  name: str | None):
-        object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "edge_count", edge_count)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "name", name)
 
     def __setattr__(self, *args):
         raise AttributeError("Diagram is immutable")
 
     @property
+    def crossings(self) -> tuple[Crossing, ...]:
+        """The crossings as records, rebuilt from the flat fields on each read."""
+        return tuple(map(Crossing, _quads(self.labels), self.signs))
+
+    @property
+    def edge_count(self) -> int:
+        return 2 * len(self.signs)
+
+    @property
     def crossing_count(self) -> int:
-        return len(self.crossings)
+        return len(self.signs)
 
     def __eq__(self, other) -> bool:
         # Edge labels pin the structure; the listing order of crossings is
         # presentational, so equality compares the tuple multiset.
         if not isinstance(other, Diagram):
             return NotImplemented
-        return (self.edge_count == other.edge_count
-                and sorted(c.edges for c in self.crossings)
-                == sorted(c.edges for c in other.crossings))
+        return sorted(_quads(self.labels)) == sorted(_quads(other.labels))
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(c.edges for c in self.crossings)))
+        return hash(tuple(sorted(_quads(self.labels))))
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -107,82 +116,85 @@ class Diagram:
 
     @staticmethod
     def unknot(name: str | None = None) -> Diagram:
-        return Diagram((), 0, name)
+        return Diagram((), (), name)
 
     @staticmethod
     def from_tuples(tuples, name: str | None = None) -> Diagram:
-        """Validate raw PD tuples and build a Diagram.
-
-        Checks, in order: every tuple has four labels, each an ``int`` (not
-        a ``bool``) and positive; every label in 1..2n appears exactly
-        twice; the under-strand is label-consecutive at each crossing; the
-        over-strand pair determines a sign; no edge enters two crossings;
-        the faces close up to a sphere (planarity).  The checks run on flat
-        integer lists indexed by edge label, so no Crossing is built until
-        all of them pass.
-
-        Once the labels and signs pass, each strand entered by edge e
-        leaves by edge e % 2n + 1, and the 2n in-edges are distinct, so
-        every edge enters exactly one crossing and the orientation walk is
-        1, 2, ..., 2n: one component, with no walk left to check.  The
-        walk is not stored; ``_walk`` derives it from the in-edges.
-        """
-        tuples = [tuple(t) for t in tuples]
-        if not tuples:
-            return Diagram.unknot(name)
-        ne = 2 * len(tuples)
-
-        counts = [0] * (ne + 1)     # counts[e] for the labels 1..ne
-        above: dict[int, int] = {}  # counts of the labels above ne
+        """Validate raw PD tuples and build a Diagram: each tuple must have
+        four labels, and ``_from_labels`` checks them flattened.  A bad label
+        before a short tuple is reported first, in reading order."""
+        labels: list = []
         for t in tuples:
+            t = tuple(t)
             if len(t) != 4:
+                _check_labels(labels)
                 raise ValidationError(f"crossing tuple {t} does not have 4 edges")
-            for e in t:
-                if type(e) is not int:
-                    raise ValidationError(f"edge label {e!r} is not an integer")
-                if e < 1:
-                    raise ValidationError(f"edge label {e} is not positive")
-                if e <= ne:
-                    counts[e] += 1
-                else:
-                    above[e] = above.get(e, 0) + 1
-        if above or counts.count(2) != ne:
-            bad = [e for e in range(1, ne + 1) if counts[e] != 2] + sorted(above)
-            raise ValidationError(
-                f"every edge label in 1..{ne} must appear exactly twice; "
-                f"offending labels: {bad}")
+            labels += t
+        return _from_labels(labels, name)
 
-        signs = [_derive_sign(t, ne) for t in tuples]
 
-        entered = bytearray(ne + 1)     # entered[e]: edge e enters a crossing
-        for (a, b, _, d), sign in zip(tuples, signs):
-            if sign < 0:
-                b = d           # the over-strand enters by d
-            if entered[a]:
+def _quads(labels):
+    """The flat labels four at a time: one (a, b, c, d) per crossing."""
+    return zip(*[iter(labels)] * 4)
+
+
+def _check_labels(labels: list) -> None:
+    """Every label is an ``int`` (not a ``bool``) and positive."""
+    for e in labels:
+        if type(e) is not int:
+            raise ValidationError(f"edge label {e!r} is not an integer")
+        if e < 1:
+            raise ValidationError(f"edge label {e} is not positive")
+
+
+def _from_labels(labels: list, name: str | None) -> Diagram:
+    """Validate flat PD labels, four per crossing, and build the Diagram.
+
+    Checks, in order: every label is an ``int`` (not a ``bool``) and
+    positive; every label in 1..2n appears exactly twice; the under-strand
+    is label-consecutive at each crossing; the over-strand pair determines
+    a sign; no edge enters two crossings; the faces close up to a sphere
+    (planarity).  Then each strand entered by edge e leaves by edge
+    e % 2n + 1, and the 2n in-edges are distinct, so the orientation walk
+    is 1, 2, ..., 2n: one component, with no walk left to check.
+    """
+    _check_labels(labels)
+    if not labels:
+        return Diagram.unknot(name)
+    ne = len(labels) // 2
+    ordered = sorted(labels)    # 1, 1, 2, 2, ..., ne, ne when the counts pass
+    if ordered[0::2] != ordered[1::2] or ordered[0::2] != list(range(1, ne + 1)):
+        counts = Counter(labels)
+        bad = sorted(e for e in {*range(1, ne + 1), *counts}
+                     if e > ne or counts[e] != 2)
+        raise ValidationError(f"every edge label in 1..{ne} must appear exactly "
+                              f"twice; offending labels: {bad}")
+
+    signs = [_derive_sign(t, ne) for t in _quads(labels)]
+
+    entered = bytearray(ne + 1)     # entered[e]: edge e enters a crossing
+    for (a, b, _, d), sign in zip(_quads(labels), signs):
+        for e in (a, b if sign > 0 else d):     # the under and over in-edges
+            if entered[e]:
                 raise ValidationError(
-                    f"edge {a} enters two crossings; orientation inconsistent")
-            entered[a] = 1
-            if entered[b]:
-                raise ValidationError(
-                    f"edge {b} enters two crossings; orientation inconsistent")
-            entered[b] = 1
+                    f"edge {e} enters two crossings; orientation inconsistent")
+            entered[e] = 1
 
-        _check_planar(tuples, ne)
-        return Diagram(tuple(map(Crossing, tuples, signs)), ne, name)
+    _check_planar(labels, ne)
+    return Diagram(tuple(labels), tuple(signs), name)
 
 
 def _walk(d: Diagram) -> list[tuple[int, bool]]:
     """The orientation walk of ``d``: (crossing index, over flag) per visit.
 
     Edge label e is the e-th visit: edge e enters the crossing visited
-    e-th, under by edges[0], over by edges[1] (sign +1) or edges[3]
-    (sign -1).  ``from_tuples`` proved the in-edges are 1..2n, once each.
+    e-th, under by its first label, over by its second (sign +1) or fourth
+    (sign -1).  ``_from_labels`` proved the in-edges are 1..2n, once each.
     """
     walk = [None] * d.edge_count
-    for i, c in enumerate(d.crossings):
-        a, b, _, dd = c.edges
+    for i, ((a, b, _, dd), sign) in enumerate(zip(_quads(d.labels), d.signs)):
         walk[a - 1] = (i, False)
-        walk[(b if c.sign > 0 else dd) - 1] = (i, True)
+        walk[(b if sign > 0 else dd) - 1] = (i, True)
     return walk
 
 
@@ -202,37 +214,32 @@ def _derive_sign(t: tuple[int, int, int, int], ne: int) -> int:
         f"over-strand edges not consecutive in crossing {t}")
 
 
-def _check_planar(tuples: list[tuple[int, int, int, int]], ne: int) -> None:
+def _check_planar(labels: list[int], ne: int) -> None:
     """Euler-characteristic test: V - E + F == 2 for the induced ribbon graph.
 
-    Dart 4*i + s is slot s of crossing i.  ``glue`` pairs the two darts
-    that carry one edge label; a face is an orbit of "cross the edge, then
-    turn to the next slot counterclockwise".
+    Dart 4*i + s is slot s of crossing i, the index of its label in the
+    flat ``labels``.  A face is an orbit of "cross the edge to the other
+    dart with the same label, then turn to the next slot counterclockwise";
+    ``step`` maps each dart to the next one on its face, or to -1 once its
+    face is counted.
     """
-    n = len(tuples)
+    n = len(labels) // 4
     first = [-1] * (ne + 1)
-    glue = [0] * (4 * n)
-    dart = 0
-    for t in tuples:
-        for e in t:
-            other = first[e]
-            if other < 0:
-                first[e] = dart
-            else:
-                glue[dart] = other
-                glue[other] = dart
-            dart += 1
-    seen = bytearray(4 * n)
+    step = [0] * (4 * n)
+    for dart, e in enumerate(labels):
+        other = first[e]
+        if other < 0:
+            first[e] = dart
+        else:
+            step[dart] = other - 3 if other & 3 == 3 else other + 1
+            step[other] = dart - 3 if dart & 3 == 3 else dart + 1
     faces = 0
     for start in range(4 * n):
-        if seen[start]:
-            continue
-        faces += 1
-        dart = start
-        while not seen[dart]:
-            seen[dart] = 1
-            dart = glue[dart]
-            dart = dart - 3 if (dart & 3) == 3 else dart + 1
+        if step[start] >= 0:
+            faces += 1
+            dart = start
+            while step[dart] >= 0:     # mark the face's darts in turn
+                step[dart], dart = -1, step[dart]
     if n - ne + faces != 2:
         raise ValidationError(
             "diagram code is not realizable in the plane "
@@ -281,12 +288,11 @@ def parse_pd(text: str, name: str | None = None) -> Diagram:
         if end + 1 == len(body):
             raise PDSyntaxError("trailing comma", end + 4)
         raise PDSyntaxError("expected 'X(i,j,k,l)'", end + 4)
-    label = iter(labels)
-    return Diagram.from_tuples(zip(label, label, label, label), name)
+    return _from_labels(labels, name)
 
 
 def to_pd_text(d: Diagram) -> str:
-    inner = ",".join("X({},{},{},{})".format(*c.edges) for c in d.crossings)
+    inner = ",".join(map("X({},{},{},{})".format, *[iter(d.labels)] * 4))
     return f"PD[{inner}]"
 
 
@@ -336,13 +342,13 @@ def diagram_from_walk(walk, name: str | None = None) -> Diagram:
     (1-based, wrapping).  Each key must appear twice, once over and once
     under, with one sign, or GaussSyntaxError is raised; the sign fixes
     the slot of the incoming over-strand.  Crossings are emitted in order
-    of first visit, and ``Diagram.from_tuples`` validates the result.
+    of first visit, and ``_from_labels`` validates the result.
     """
     ne = len(walk)
     occurrences: dict[object, list[tuple[int, bool, int]]] = {}
     for pos, (key, over, sign) in enumerate(walk, start=1):
         occurrences.setdefault(key, []).append((pos, over, sign))
-    tuples = []
+    labels: list[int] = []
     for key, occ in occurrences.items():
         if len(occ) != 2:
             raise GaussSyntaxError(
@@ -355,11 +361,9 @@ def diagram_from_walk(walk, name: str | None = None) -> Diagram:
             raise GaussSyntaxError(f"sign mismatch for crossing {key}")
         u_in, o_in = (pos2, pos1) if over1 else (pos1, pos2)
         u_out, o_out = u_in % ne + 1, o_in % ne + 1
-        if sign1 > 0:
-            tuples.append((u_in, o_in, u_out, o_out))
-        else:
-            tuples.append((u_in, o_out, u_out, o_in))
-    return Diagram.from_tuples(tuples, name)
+        labels += ((u_in, o_in, u_out, o_out) if sign1 > 0
+                   else (u_in, o_out, u_out, o_in))
+    return _from_labels(labels, name)
 
 
 def to_gauss(d: Diagram) -> GaussCode:
@@ -370,7 +374,7 @@ def to_gauss(d: Diagram) -> GaussCode:
     for i, over in _walk(d):
         if i not in number:
             number[i] = len(number) + 1
-        entries.append((number[i], over, d.crossings[i].sign))
+        entries.append((number[i], over, d.signs[i]))
     return GaussCode(tuple(entries))
 
 
@@ -378,7 +382,7 @@ def to_gauss(d: Diagram) -> GaussCode:
 
 def writhe(d: Diagram) -> int:
     """Sum of crossing signs."""
-    return sum(c.sign for c in d.crossings)
+    return sum(d.signs)
 
 
 def mirror(d: Diagram) -> Diagram:
@@ -387,18 +391,17 @@ def mirror(d: Diagram) -> Diagram:
     The new incoming under-strand is the old incoming over-strand, so each
     tuple rotates to start there; all signs flip.
     """
-    tuples = []
-    for c in d.crossings:
-        a, b, cc, dd = c.edges
-        tuples.append((b, cc, dd, a) if c.sign > 0 else (dd, a, b, cc))
+    labels: list[int] = []
+    for (a, b, cc, dd), sign in zip(_quads(d.labels), d.signs):
+        labels += (b, cc, dd, a) if sign > 0 else (dd, a, b, cc)
     name = f"mirror({d.name})" if d.name else None
-    return Diagram.from_tuples(tuples, name)
+    return _from_labels(labels, name)
 
 
 def connect_sum(d1: Diagram, d2: Diagram) -> Diagram:
     """Connected sum: splice d2's walk into d1's closing edge and relabel."""
-    walk = [(("a", i), over, d1.crossings[i].sign) for i, over in _walk(d1)]
-    walk += [(("b", i), over, d2.crossings[i].sign) for i, over in _walk(d2)]
+    walk = [(("a", i), over, d1.signs[i]) for i, over in _walk(d1)]
+    walk += [(("b", i), over, d2.signs[i]) for i, over in _walk(d2)]
     name = None
     if d1.name and d2.name:
         name = f"{d1.name}#{d2.name}"

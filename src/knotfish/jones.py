@@ -41,7 +41,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .diagram import Diagram, writhe
+from .diagram import Diagram, _quads, writhe
 from .errors import CrossingLimitError, ExactnessError
 from .laurent import LaurentPoly
 
@@ -74,8 +74,7 @@ def kauffman_bracket(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly
     ne = d.edge_count
 
     joins = []
-    for c in d.crossings:
-        a, b, cc, dd = (e - 1 for e in c.edges)
+    for a, b, cc, dd in _quads([e - 1 for e in d.labels]):
         # type-A smoothing joins (a,d) and (b,c); type-B joins (a,b) and (c,d)
         # (assignment calibrated against the trefoil anchor)
         joins.append(((a, dd, b, cc), (a, b, cc, dd)))
@@ -141,11 +140,11 @@ def _chords(d: Diagram):
     crossing sign.
 
     Edge label e is the e-th visit, so a chord's endpoints are the labels
-    of the crossing's in-edges: edges[0] under, and edges[1] (sign +1) or
-    edges[3] (sign -1) over.
+    of the crossing's in-edges: for crossing i, ``labels[4i]`` under, and
+    ``labels[4i+1]`` (sign +1) or ``labels[4i+3]`` (sign -1) over.
     """
-    rows = []
-    for (a, b, _, dd), s in d.crossings:
+    labels, rows = d.labels, []
+    for a, b, dd, s in zip(labels[0::4], labels[1::4], labels[3::4], d.signs):
         o = b if s > 0 else dd
         rows.append((a, o, True, s) if a < o else (o, a, False, s))
     rows.sort()

@@ -1,7 +1,9 @@
 """Deterministic CSV and SVG emitters for the (v2, v3) fish plots.
 
 SVG is emitted as primitive shapes with all numbers formatted to six
-significant digits, so identical inputs give byte-identical files.
+significant digits, so identical inputs give byte-identical files.  Each
+coordinate is mapped and formatted in one f-string; screen coordinates are
+at least 48, so no "-0" can arise.
 Convention: v2 runs horizontally, v3 vertically; mirror images reflect
 across the v2-axis, so fish scatters get a symmetric vertical range.
 """
@@ -22,11 +24,6 @@ _WIDTH, _HEIGHT = 640, 480
 _MARGIN = 48
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f", "#bcbd22")
-
-
-def _fmt(x: float) -> str:
-    out = f"{x:.6g}"
-    return "0" if out in ("-0", "-0.0") else out
 
 
 def _xml_text(text: str) -> str:
@@ -50,14 +47,12 @@ def _render_svg(points: list[tuple[float, float, str]],
                 curves: list[tuple[str, list[tuple[float, float]]]],
                 title: str) -> str:
     (x0, x1), (y0, y1) = _ranges(points, curves)
+    dx, dy = x1 - x0, y1 - y0
     iw = _WIDTH - 2 * _MARGIN
     ih = _HEIGHT - 2 * _MARGIN
-
-    def sx(x: float) -> float:
-        return _MARGIN + (x - x0) / (x1 - x0) * iw
-
-    def sy(y: float) -> float:
-        return _HEIGHT - _MARGIN - (y - y0) / (y1 - y0) * ih
+    bottom = _HEIGHT - _MARGIN
+    zx = _MARGIN + (0 - x0) / dx * iw     # the screen x of v2 = 0
+    zy = bottom - (0 - y0) / dy * ih      # the screen y of v3 = 0
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -71,22 +66,24 @@ def _render_svg(points: list[tuple[float, float, str]],
                      f'{_xml_text(title)}</text>')
     # zero axes; the v3 range is symmetric, so the v2-axis is always inside
     if x0 < 0 < x1:
-        parts.append(f'<line x1="{_fmt(sx(0))}" y1="{_MARGIN}" x2="{_fmt(sx(0))}" '
-                     f'y2="{_HEIGHT - _MARGIN}" stroke="#999999" stroke-width="0.7"/>')
-    parts.append(f'<line x1="{_MARGIN}" y1="{_fmt(sy(0))}" x2="{_WIDTH - _MARGIN}" '
-                 f'y2="{_fmt(sy(0))}" stroke="#999999" stroke-width="0.7"/>')
-    parts.append(f'<text x="{_WIDTH - _MARGIN + 6}" y="{_fmt(sy(0))}" '
+        parts.append(f'<line x1="{zx:.6g}" y1="{_MARGIN}" x2="{zx:.6g}" '
+                     f'y2="{bottom}" stroke="#999999" stroke-width="0.7"/>')
+    parts.append(f'<line x1="{_MARGIN}" y1="{zy:.6g}" x2="{_WIDTH - _MARGIN}" '
+                 f'y2="{zy:.6g}" stroke="#999999" stroke-width="0.7"/>')
+    parts.append(f'<text x="{_WIDTH - _MARGIN + 6}" y="{zy:.6g}" '
                  'font-size="12" font-family="sans-serif">v2</text>')
-    parts.append(f'<text x="{_fmt(sx(0) if x0 < 0 < x1 else _MARGIN)}" y="{_MARGIN - 4}" '
+    parts.append(f'<text x="{zx if x0 < 0 < x1 else _MARGIN:.6g}" y="{_MARGIN - 4}" '
                  'font-size="12" font-family="sans-serif">v3</text>')
     for idx, (label, pts) in enumerate(curves):
         color = _PALETTE[idx % len(_PALETTE)]
-        d = "M " + " L ".join(f"{_fmt(sx(x))} {_fmt(sy(y))}" for x, y in pts)
+        d = "M " + " L ".join(f"{_MARGIN + (x - x0) / dx * iw:.6g} "
+                              f"{bottom - (y - y0) / dy * ih:.6g}" for x, y in pts)
         parts.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.2">'
                      f'<title>{_xml_text(label)}</title></path>')
     for x, y, label in points:
         tip = f"<title>{_xml_text(label)}</title>" if label else ""
-        parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" '
+        parts.append(f'<circle cx="{_MARGIN + (x - x0) / dx * iw:.6g}" '
+                     f'cy="{bottom - (y - y0) / dy * ih:.6g}" r="3" '
                      f'fill="#1f77b4" fill-opacity="0.75" stroke="none">{tip}</circle>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

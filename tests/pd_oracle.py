@@ -3,9 +3,11 @@
 and validation moved to one flat pass, kept so the tests can compare the
 two on generated codes.
 
-The reference still traces the orientation walk crossing by crossing, and
-returns it next to the diagram, ``(diagram, walk)``, so that the tests can
-compare it with the walk the library derives from the edge labels.
+The reference builds no library ``Diagram``, so it does not depend on how
+one is stored.  It returns its own data, ``(edge count, [(edges, sign)],
+walk)``, with the walk traced crossing by crossing, for the tests to compare
+with the crossings the library stores and the walk it derives from the edge
+labels.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from knotfish.diagram import Diagram
 from knotfish.errors import PDSyntaxError, ValidationError
 
 
@@ -41,11 +42,14 @@ class Crossing:
         return self.edges[3] if self.sign > 0 else self.edges[1]
 
 
-def from_tuples(tuples, name: str | None = None
-                ) -> tuple[Diagram, tuple[tuple[int, bool], ...]]:
+Outcome = tuple[int, list[tuple[tuple[int, int, int, int], int]],
+                tuple[tuple[int, bool], ...]]
+
+
+def from_tuples(tuples) -> Outcome:
     tuples = [tuple(t) for t in tuples]
     if not tuples:
-        return Diagram.unknot(name), ()
+        return 0, [], ()
     n = len(tuples)
     ne = 2 * n
 
@@ -101,7 +105,7 @@ def from_tuples(tuples, name: str | None = None
             "diagram has more than one component (walk misses crossings)")
 
     _check_planar(crossings, ne)
-    return Diagram(tuple(crossings), ne, name), tuple(visits)
+    return ne, [(c.edges, c.sign) for c in crossings], tuple(visits)
 
 
 def _derive_sign(t: tuple[int, int, int, int], ne: int) -> int:
@@ -158,14 +162,13 @@ def _check_planar(crossings, ne: int) -> None:
 _PD_TOKEN = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
-def parse_pd(text: str, name: str | None = None
-             ) -> tuple[Diagram, tuple[tuple[int, bool], ...]]:
+def parse_pd(text: str) -> Outcome:
     stripped = "".join(text.split())
     if not stripped.startswith("PD[") or not stripped.endswith("]"):
         raise PDSyntaxError("expected 'PD[...]'", 0)
     body = stripped[3:-1]
     if not body:
-        return Diagram.unknot(name), ()
+        return 0, [], ()
     tuples = []
     pos = 0
     while pos < len(body):
@@ -183,4 +186,4 @@ def parse_pd(text: str, name: str | None = None
             pos += 1
             if pos == len(body):
                 raise PDSyntaxError("trailing comma", pos + 3)
-    return from_tuples(tuples, name)
+    return from_tuples(tuples)

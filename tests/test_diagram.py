@@ -1,3 +1,5 @@
+import hashlib
+import random
 from math import gcd
 
 import pytest
@@ -135,8 +137,66 @@ def test_diagram_is_immutable():
 
 
 def test_diagram_holds_only_its_crossings():
-    # The walk is derived from the edge labels, never stored.
-    assert Diagram.__slots__ == ("crossings", "edge_count", "name")
+    # The walk is derived from the edge labels, never stored, and the
+    # crossings are read off the flat fields.
+    assert Diagram.__slots__ == ("labels", "signs", "name")
+
+
+def _representation_corpus() -> list[Diagram]:
+    """Diagrams from every constructor: PD and Gauss codes with both kinks,
+    torus knots of both chiralities, Whitehead doubles and seeded braid
+    closures; then the mirror of each, and the connected sum of each with
+    the next."""
+    base = [Diagram.unknot(), parse_pd(TREFOIL_PD), parse_gauss(TREFOIL_GAUSS),
+            parse_pd("PD[X(1,2,2,1)]"), parse_pd("PD[X(1,1,2,2)]"),
+            parse_pd("PD[X(1,7,2,6),X(5,3,6,2),X(3,8,4,1),X(7,4,8,5)]")]
+    base += [torus_pd((p, s * q)) for p in range(2, 5) for q in range(p + 1, 10)
+             if gcd(p, q) == 1 for s in (1, -1)]
+    base += [whitehead_pd(i) for i in range(-4, 5)]
+    rng = random.Random(14)
+    closures = 0
+    while closures < 40:
+        strands = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 14))]
+        try:
+            base.append(braid_closure(word, strands))
+        except ValidationError:     # the closure is a link
+            continue
+        closures += 1
+    return (base + [mirror(d) for d in base]
+            + [connect_sum(a, b) for a, b in zip(base, base[1:])])
+
+
+# SHA-256 of every corpus diagram's crossings, PD text, Gauss text and
+# writhe, one line each, as the crossing-tuple representation gave them.
+REPRESENTATION_SHA256 = (
+    "58b027d972fbae39138971aeee1121d633d92a91eabbb1ca7159bc22c4f0e6d2")
+
+
+def test_representation_is_pinned():
+    lines = "".join(f"{d.crossings!r}\t{to_pd_text(d)}\t{to_gauss(d).text()}"
+                    f"\t{writhe(d)}\n" for d in _representation_corpus())
+    assert hashlib.sha256(lines.encode()).hexdigest() == REPRESENTATION_SHA256
+
+
+def test_labels_are_flat_plain_ints_and_round_trip():
+    for d in _representation_corpus():
+        assert type(d.labels) is tuple and type(d.signs) is tuple
+        assert len(d.labels) == 4 * d.crossing_count == 2 * d.edge_count
+        assert all(type(e) is int for e in d.labels)
+        assert all(s in (1, -1) for s in d.signs)
+        assert Diagram.from_tuples(c.edges for c in d.crossings) == d
+
+
+def test_equality_and_hash_ignore_crossing_order():
+    rng = random.Random(14)
+    for d in _representation_corpus():
+        tuples = [c.edges for c in d.crossings]
+        rng.shuffle(tuples)
+        shuffled = Diagram.from_tuples(tuples, "other")
+        assert shuffled == d and hash(shuffled) == hash(d)
+        assert d.crossing_count == 0 or mirror(d) != d
 
 
 # Every PD syntax error the parser can raise, with its offset in the text
@@ -216,19 +276,17 @@ def outcome(read, code):
     """What ``read`` makes of ``code``: the type and message of the error
     it raises, or the edge count, crossings, signs and walk it builds.
 
-    The reference reader returns the walk it traced next to the diagram;
+    The reference reader returns these itself, with the walk it traced;
     the library's walk is the one it derives from the edge labels.
     """
     try:
         result = read(code)
     except Exception as exc:
         return type(exc), str(exc)
-    if isinstance(result, Diagram):
-        d, walk = result, _walk(result)
-    else:
-        d, walk = result
-    return (d.edge_count, [(c.edges, c.sign) for c in d.crossings],
-            tuple(walk))
+    if not isinstance(result, Diagram):
+        return result
+    return (result.edge_count, [(c.edges, c.sign) for c in result.crossings],
+            tuple(_walk(result)))
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import tempfile
 import xml.etree.ElementTree as ET
@@ -119,3 +120,48 @@ def test_emitters_escape_arbitrary_names(names):
     heading = ET.fromstring(_render_svg([], [], names[0])).find(
         "{http://www.w3.org/2000/svg}text")
     assert heading.text == names[0]
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# SHA-256 of the emitters' bytes for the bundled table and the benchmark's
+# torus overlay (u = 1..9, c = 3, 5, ..., 17).  Any change to an emitted
+# byte must show here and be made on purpose.
+FISH_SVG_SHA256 = {
+    (3, False): "cf625666d02eb94934663721fc9f3c2a5ac87efd95ea7dbd46ca6f0eecae1e9f",
+    (3, True): "6e33c000b6dda158570e84bc6f7cf5ba489d31912028f129479da3ffc8d05d33",
+    (4, False): "c1704a2747181926f57d97b216f3820bb1d71a23a1416eb7f275df9bdf78c53f",
+    (4, True): "c1704a2747181926f57d97b216f3820bb1d71a23a1416eb7f275df9bdf78c53f",
+    (5, False): "28249821dc551f2a3b5fd7dbc1ac2f493980e54081cf10b57354d9c8f6b9cbaa",
+    (5, True): "d0c5db5ecaecf37238cd88a00478acbfbef66eb593b1a96332b9ad8c86f2ed40",
+    (6, False): "362088f081e243e0f7cbd5f8eff5dee522c9b6a56bd9e8df63253c835032e9c0",
+    (6, True): "5004d183ac16c2064c5ee50fd9d6995c16cbd838f69b2dea33897150abe2dcb7",
+    (7, False): "f1ebf05642d8360b6b8be33966a43cd23615045166b9da533600b87cd1d6fdd2",
+    (7, True): "b6833c60b4eee52dd3b7159c2d38e3dd838105e7db5d807bd8961cd28162b828",
+    (8, False): "8a05a9b8b2ea3517eb83fab04f314a1ca780f8c1da30efdba49af0b7bb6812b2",
+    (8, True): "241e758ce17b51b7374f4e8a46a37e197fd0f039237b2156bef670c742b9e438",
+    (9, False): "5cc7c02bbeb8838bc1f718fa0b3d1f79f6d37ad07ebb9dfcca93e60a273fabe1",
+    (9, True): "d296d71e79a3ffbd57bce5583507ff81a86202db4bd9f6dbc4c482db103de827",
+    (10, False): "0600f916054d3c1beaa1a0b4e969496bd9872cbe48deec716a19288ea8ae1379",
+    (10, True): "8312fddb9ff26bbc1f7f7ae800dbd813037cdd509e07f04ad77f9e110819067b",
+}
+CSV_SHA256 = (
+    "97528950405e1f7db92b18be85334ca5f8a0c6ae958c0e64a8fd0e370a3e64fc")
+OVERLAY_SHA256 = (
+    "b1c46323461d0098a1919ed3d29e26627171a2aa349bdc1d9d2ae1e8c500f4d3")
+
+
+@pytest.mark.parametrize("c, mirrors", sorted(FISH_SVG_SHA256))
+def test_fish_svg_bytes_are_pinned(bundled_computed, tmp_path, c, mirrors):
+    out = emit_fish_svg(bundled_computed, c, tmp_path / "f.svg",
+                        include_mirrors=mirrors)
+    assert _sha256(out) == FISH_SVG_SHA256[c, mirrors]
+
+
+def test_csv_and_overlay_bytes_are_pinned(bundled_computed, tmp_path):
+    assert _sha256(emit_csv(bundled_computed, tmp_path / "t.csv")) == CSV_SHA256
+    out = emit_torus_overlay_svg(list(range(1, 10)), list(range(3, 18, 2)),
+                                 tmp_path / "o.svg")
+    assert _sha256(out) == OVERLAY_SHA256

@@ -35,6 +35,45 @@ def test_cli_import_skips_dataclasses_inspect_and_resources():
     assert out.stdout.split() == []
 
 
+# What the benchmark in perfbench/ reads of the package after
+# ``import knotfish.cli``: the loaded submodules (common.mod), every name
+# that common.instrument wraps, and the fields its checks read.  A refactor
+# that drops one of them would end a benchmark run as failed.
+_CONTRACT_PROBE = """
+import sys, knotfish, knotfish.cli
+mods = {n: sys.modules.get("knotfish." + n) for n in
+        ("cli", "diagram", "jones", "laurent", "plots", "table", "torus")}
+missing = [n for n, m in mods.items() if m is None]
+wrapped = {"diagram": ["parse_pd"], "jones": ["kauffman_bracket", "jones", "v2_v3"],
+           "table": ["load_table", "compute_all", "crossing_maxima", "bound_audit",
+                     "amphicheiral_candidates", "printed_bound_check"],
+           "plots": ["emit_csv", "emit_fish_svg", "emit_torus_overlay_svg"],
+           "torus": ["torus_report"]}
+missing += [m + "." + n for m, names in wrapped.items() if mods[m] is not None
+            for n in names if not callable(getattr(mods[m], n, None))]
+if mods["laurent"] is not None and not callable(
+        getattr(mods["laurent"].LaurentPoly, "falling_factorial_sum", None)):
+    missing.append("laurent.LaurentPoly.falling_factorial_sum")
+if not callable(knotfish.jones):
+    missing.append("knotfish.jones (callable)")
+trefoil = knotfish.parse_pd("PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]")
+if trefoil.crossing_count != 3:
+    missing.append("Diagram.crossing_count")
+if "error" not in knotfish.KnotRecord._fields:
+    missing.append("KnotRecord.error")
+if not isinstance(knotfish.jones(trefoil).terms, dict):
+    missing.append("LaurentPoly.terms (dict)")
+print(" ".join(missing))
+"""
+
+
+def test_benchmark_contract_holds_in_a_fresh_process():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", _CONTRACT_PROBE], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == []
+
+
 _TREFOIL = parse_pd(TREFOIL_PD, "3_1")
 _REPORT = torus_report((2, 3))
 _CUBIC = ("lower1_holds=True, upper_holds=True, lower2_holds=True, "
