@@ -1,9 +1,9 @@
-"""Exact knot-invariant toolkit: v2 and v3 from the Jones polynomial,
+"""Exact knot-invariant toolkit: v2 and v3 from the Gauss-diagram formulas,
 torus-knot closed forms, and fish-plot emitters."""
 
-from .diagram import (Crossing, Diagram, GaussCode, connect_sum, mirror,
-                      parse_gauss, parse_pd, to_gauss, to_pd_text, writhe)
-from .generators import (TorusParams, WhiteheadIndex, braid_closure, torus_pd,
+from .diagram import (Diagram, GaussCode, connect_sum, mirror, parse_gauss,
+                      parse_pd, to_gauss, to_pd_text, writhe)
+from .generators import (TorusParams, braid_closure, torus_pd,
                          whitehead_closed_form, whitehead_pd)
 from .jones import (DEFAULT_CROSSING_CAP, InvariantPair, arf, jones,
                     kauffman_bracket, v2_v3)
@@ -17,9 +17,9 @@ from .torus import (check_crossing_bounds, check_crossing_quartic,
                     torus_v2v3, unknotting_from_invariants)
 
 __all__ = [
-    "Crossing", "Diagram", "GaussCode", "connect_sum", "mirror",
+    "Diagram", "GaussCode", "connect_sum", "mirror",
     "parse_gauss", "parse_pd", "to_gauss", "to_pd_text", "writhe",
-    "TorusParams", "WhiteheadIndex", "braid_closure", "torus_pd",
+    "TorusParams", "braid_closure", "torus_pd",
     "whitehead_closed_form", "whitehead_pd",
     "DEFAULT_CROSSING_CAP", "InvariantPair", "arf", "jones",
     "kauffman_bracket", "v2_v3",

@@ -1,14 +1,15 @@
 """Oriented knot-diagram codes: PD and signed Gauss.
 
 A diagram is a list of crossings, each a 4-tuple of edge labels read
-counterclockwise starting from the incoming under-strand; a ``Diagram``
-stores them flat, crossing i in ``labels[4i:4i+4]`` with its sign in
-``signs[i]``, and every library path reads those two tuples.  Edges are
-labeled 1..2n along the orientation of the knot, so the successor of
-edge e is ``e % 2n + 1``.  The crossing sign is derived from the labels:
-+1 when d - b == 1 (mod 2n), -1 when b - d == 1 (mod 2n); the one-crossing
-kink, where both congruences hold, is resolved by which slots the loop
-edge occupies (a == d gives +1, a == b gives -1).
+counterclockwise starting from the incoming under-strand.  A ``Diagram`` is
+exactly that PD code, stored flat: crossing i in ``labels[4i:4i+4]`` with
+its sign in ``signs[i]``, and nothing else.  A knot's table name lives in
+``table.KnotRecord``, not in its diagram.  Edges are labeled 1..2n along
+the orientation of the knot, so the successor of edge e is ``e % 2n + 1``.
+The crossing sign is derived from the labels: +1 when d - b == 1 (mod 2n),
+-1 when b - d == 1 (mod 2n); the one-crossing kink, where both congruences
+hold, is resolved by which slots the loop edge occupies (a == d gives +1,
+a == b gives -1).
 
 Validation accepts only single-component diagrams (knots) whose code is
 realizable in the plane; realizability is decided by tracing the faces of
@@ -31,8 +32,8 @@ codes, connected sums and the generators' braid closures and Whitehead
 doubles.  It runs the Gauss-code checks once and hands the flat PD labels
 to ``_from_labels``.
 
-``Crossing`` and ``GaussCode`` are ``typing.NamedTuple`` records: immutable,
-with named fields, and equal to the plain tuple of their values.
+``GaussCode`` is a ``typing.NamedTuple`` record: immutable, with a named
+field, and equal to the plain tuple of its value.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from typing import NamedTuple
 from .errors import GaussSyntaxError, PDSyntaxError, ValidationError
 
 __all__ = [
-    "Crossing",
     "Diagram",
     "GaussCode",
     "parse_pd",
@@ -58,39 +58,21 @@ __all__ = [
 ]
 
 
-class Crossing(NamedTuple):
-    """One crossing: edges counterclockwise from the incoming under-strand.
-
-    The under-strand runs edges[0] -> edges[2]; the over-strand runs
-    edges[1] -> edges[3] when sign is +1 and edges[3] -> edges[1] when -1.
-    """
-
-    edges: tuple[int, int, int, int]
-    sign: int
-
-
 class Diagram:
     """A validated oriented single-component knot diagram.
 
     Instances are immutable; all operations on them are pure functions.
-    Equality compares the crossing tuples (names are labels, not content).
+    Equality compares the crossing tuples.
     """
 
-    __slots__ = ("labels", "signs", "name")
+    __slots__ = ("labels", "signs")
 
-    def __init__(self, labels: tuple[int, ...], signs: tuple[int, ...],
-                 name: str | None):
+    def __init__(self, labels: tuple[int, ...], signs: tuple[int, ...]):
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "name", name)
 
     def __setattr__(self, *args):
         raise AttributeError("Diagram is immutable")
-
-    @property
-    def crossings(self) -> tuple[Crossing, ...]:
-        """The crossings as records, rebuilt from the flat fields on each read."""
-        return tuple(map(Crossing, _quads(self.labels), self.signs))
 
     @property
     def edge_count(self) -> int:
@@ -111,15 +93,14 @@ class Diagram:
         return hash(tuple(sorted(_quads(self.labels))))
 
     def __repr__(self) -> str:
-        label = f" {self.name!r}" if self.name else ""
-        return f"<Diagram{label} {to_pd_text(self)}>"
+        return f"<Diagram {to_pd_text(self)}>"
 
     @staticmethod
-    def unknot(name: str | None = None) -> Diagram:
-        return Diagram((), (), name)
+    def unknot() -> Diagram:
+        return Diagram((), ())
 
     @staticmethod
-    def from_tuples(tuples, name: str | None = None) -> Diagram:
+    def from_tuples(tuples) -> Diagram:
         """Validate raw PD tuples and build a Diagram: each tuple must have
         four labels, and ``_from_labels`` checks them flattened.  A bad label
         before a short tuple is reported first, in reading order."""
@@ -130,7 +111,7 @@ class Diagram:
                 _check_labels(labels)
                 raise ValidationError(f"crossing tuple {t} does not have 4 edges")
             labels += t
-        return _from_labels(labels, name)
+        return _from_labels(labels)
 
 
 def _quads(labels):
@@ -147,7 +128,7 @@ def _check_labels(labels: list) -> None:
             raise ValidationError(f"edge label {e} is not positive")
 
 
-def _from_labels(labels: list, name: str | None) -> Diagram:
+def _from_labels(labels: list) -> Diagram:
     """Validate flat PD labels, four per crossing, and build the Diagram.
 
     Checks, in order: every label is an ``int`` (not a ``bool``) and
@@ -160,7 +141,7 @@ def _from_labels(labels: list, name: str | None) -> Diagram:
     """
     _check_labels(labels)
     if not labels:
-        return Diagram.unknot(name)
+        return Diagram.unknot()
     ne = len(labels) // 2
     ordered = sorted(labels)    # 1, 1, 2, 2, ..., ne, ne when the counts pass
     if ordered[0::2] != ordered[1::2] or ordered[0::2] != list(range(1, ne + 1)):
@@ -181,7 +162,7 @@ def _from_labels(labels: list, name: str | None) -> Diagram:
             entered[e] = 1
 
     _check_planar(labels, ne)
-    return Diagram(tuple(labels), tuple(signs), name)
+    return Diagram(tuple(labels), tuple(signs))
 
 
 def _walk(d: Diagram) -> list[tuple[int, bool]]:
@@ -254,7 +235,7 @@ _PD_PREFIX = re.compile(rf"{_PD_TOKEN}(?:,{_PD_TOKEN})*")
 _PD_LABEL = re.compile(r"\d+")
 
 
-def parse_pd(text: str, name: str | None = None) -> Diagram:
+def parse_pd(text: str) -> Diagram:
     """Parse ``PD[X(i,j,k,l),...]`` into a validated Diagram.
 
     Whitespace-insensitive; syntax errors report the character offset.
@@ -264,7 +245,7 @@ def parse_pd(text: str, name: str | None = None) -> Diagram:
         raise PDSyntaxError("expected 'PD[...]'", 0)
     body = stripped[3:-1]
     if not body:
-        return Diagram.unknot(name)
+        return Diagram.unknot()
     # Offsets are into ``body``, which starts 3 characters into the text.
     prefix = _PD_PREFIX.match(body)
     if prefix is None:
@@ -288,7 +269,7 @@ def parse_pd(text: str, name: str | None = None) -> Diagram:
         if end + 1 == len(body):
             raise PDSyntaxError("trailing comma", end + 4)
         raise PDSyntaxError("expected 'X(i,j,k,l)'", end + 4)
-    return _from_labels(labels, name)
+    return _from_labels(labels)
 
 
 def to_pd_text(d: Diagram) -> str:
@@ -313,7 +294,7 @@ class GaussCode(NamedTuple):
 _GAUSS_TOKEN = re.compile(r"([OU])(\d+)([+-])")
 
 
-def parse_gauss(text: str, name: str | None = None) -> Diagram:
+def parse_gauss(text: str) -> Diagram:
     """Parse a signed Gauss code such as ``O1+U2+O3+U1+O2+U3+``."""
     stripped = "".join(text.split())
     entries = []
@@ -331,10 +312,10 @@ def parse_gauss(text: str, name: str | None = None) -> Diagram:
         entries.append((cid, m.group(1) == "O",
                         1 if m.group(3) == "+" else -1))
         pos = m.end()
-    return diagram_from_walk(entries, name)
+    return diagram_from_walk(entries)
 
 
-def diagram_from_walk(walk, name: str | None = None) -> Diagram:
+def diagram_from_walk(walk) -> Diagram:
     """Build a Diagram from a signed walk.
 
     ``walk`` is a sequence of (crossing key, over flag, sign), one entry
@@ -363,7 +344,7 @@ def diagram_from_walk(walk, name: str | None = None) -> Diagram:
         u_out, o_out = u_in % ne + 1, o_in % ne + 1
         labels += ((u_in, o_in, u_out, o_out) if sign1 > 0
                    else (u_in, o_out, u_out, o_in))
-    return _from_labels(labels, name)
+    return _from_labels(labels)
 
 
 def to_gauss(d: Diagram) -> GaussCode:
@@ -394,15 +375,11 @@ def mirror(d: Diagram) -> Diagram:
     labels: list[int] = []
     for (a, b, cc, dd), sign in zip(_quads(d.labels), d.signs):
         labels += (b, cc, dd, a) if sign > 0 else (dd, a, b, cc)
-    name = f"mirror({d.name})" if d.name else None
-    return _from_labels(labels, name)
+    return _from_labels(labels)
 
 
 def connect_sum(d1: Diagram, d2: Diagram) -> Diagram:
     """Connected sum: splice d2's walk into d1's closing edge and relabel."""
     walk = [(("a", i), over, d1.signs[i]) for i, over in _walk(d1)]
     walk += [(("b", i), over, d2.signs[i]) for i, over in _walk(d2)]
-    name = None
-    if d1.name and d2.name:
-        name = f"{d1.name}#{d2.name}"
-    return diagram_from_walk(walk, name)
+    return diagram_from_walk(walk)

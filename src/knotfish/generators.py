@@ -26,8 +26,8 @@ from .diagram import Diagram, diagram_from_walk
 from .errors import InputError, ValidationError
 from .jones import InvariantPair
 
-__all__ = ["TorusParams", "WhiteheadIndex", "torus_pd", "whitehead_pd",
-           "whitehead_closed_form", "braid_closure"]
+__all__ = ["TorusParams", "torus_pd", "whitehead_pd", "whitehead_closed_form",
+           "braid_closure"]
 
 
 def _check_ints(what: str, *values) -> None:
@@ -76,21 +76,7 @@ def _as_torus(t: TorusParams | tuple[int, int],
     return t
 
 
-class WhiteheadIndex(NamedTuple):
-    """Number of full twists; negative i means -i negative twists."""
-
-    i: int
-
-
-def _whitehead_index(w: WhiteheadIndex | int) -> int:
-    """The twist count of ``w``, checked to be an ``int``."""
-    i = w.i if isinstance(w, WhiteheadIndex) else w
-    _check_ints("Whitehead index", i)
-    return i
-
-
-def braid_closure(word: list[int], strands: int,
-                  name: str | None = None) -> Diagram:
+def braid_closure(word: list[int], strands: int) -> Diagram:
     """Close a braid word into a knot diagram.
 
     Letters are nonzero integers: letter g crosses strands |g| and |g|+1
@@ -121,18 +107,17 @@ def braid_closure(word: list[int], strands: int,
             break
     if passes != strands:
         raise ValidationError("braid closure is not a single component")
-    return diagram_from_walk(walk, name)
+    return diagram_from_walk(walk)
 
 
 def torus_pd(t: TorusParams | tuple[int, int]) -> Diagram:
     """PD diagram of T(p,q) as a braid closure; |p| or |q| = 1 is the unknot."""
     t = _as_torus(t)
-    name = f"T({t.p},{t.q})"
     if t.is_unknot:
-        return Diagram.unknot(name)
+        return Diagram.unknot()
     p, q = abs(t.p), abs(t.q)
     sign = 1 if t.p * t.q > 0 else -1
-    return braid_closure([sign * g for g in range(1, p)] * q, p, name)
+    return braid_closure([sign * g for g in range(1, p)] * q, p)
 
 
 # Twist-region and clasp chirality per twist sign, pinned by the anchor
@@ -141,8 +126,7 @@ _WH_POSITIVE = (1, 1)
 _WH_NEGATIVE = (-1, 1)
 
 
-def _hook_diagram(m: int, s_ladder: int, s_clasp: int,
-                  name: str | None = None) -> Diagram:
+def _hook_diagram(m: int, s_ladder: int, s_clasp: int) -> Diagram:
     """Ladder of m same-sign crossings closed by a 2-crossing clasp.
 
     The knot runs up the ladder, through the clasp hook, back down the
@@ -171,21 +155,22 @@ def _hook_diagram(m: int, s_ladder: int, s_clasp: int,
         over = roles[key] != (key in seen)
         seen.add(key)
         walk.append((key, over, s_ladder if key[0] == "t" else s_clasp))
-    return diagram_from_walk(walk, name)
+    return diagram_from_walk(walk)
 
 
-def whitehead_pd(w: WhiteheadIndex | int) -> Diagram:
-    """Diagram of the i-th twisted Whitehead double of the unknot.
+def whitehead_pd(i: int) -> Diagram:
+    """Diagram of the i-th twisted Whitehead double of the unknot: i full
+    twists, negative i meaning -i negative twists.
 
     Emitted as drawn: 2|i| twist crossings plus the 2-crossing clasp,
     so i = 0 gives a 2-crossing diagram of the unknot.
     """
-    i = _whitehead_index(w)
+    _check_ints("Whitehead index", i)
     s_ladder, s_clasp = _WH_POSITIVE if i >= 0 else _WH_NEGATIVE
-    return _hook_diagram(2 * abs(i), s_ladder, s_clasp, name=f"Wh({i})")
+    return _hook_diagram(2 * abs(i), s_ladder, s_clasp)
 
 
-def whitehead_closed_form(w: WhiteheadIndex | int) -> InvariantPair:
+def whitehead_closed_form(i: int) -> InvariantPair:
     """(v2, v3) of the i-th Whitehead double: (i, i(i+1)/2)."""
-    i = _whitehead_index(w)
+    _check_ints("Whitehead index", i)
     return InvariantPair(i, i * (i + 1) // 2)

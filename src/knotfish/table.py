@@ -73,7 +73,7 @@ def _parse_table_text(text: str, origin: str) -> list[KnotRecord]:
                 f"{origin}:{lineno}: duplicate name {name!r} (first at line {names[name]})")
         names[name] = lineno
         try:
-            diagram = parse_pd(pd_text, name=name)
+            diagram = parse_pd(pd_text)
         except KnotfishError as exc:
             raise InputError(f"{origin}:{lineno}: {exc}") from exc
         c = _crossing_number_from_name(name)

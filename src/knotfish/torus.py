@@ -240,8 +240,7 @@ class CrossingBoundsReport(NamedTuple):
 
     The corollary constants differ from the printed source, which fails on
     T(2,3); rederiving from the stated weakening v2 >= c(c+5)/24 gives the
-    form used here, tight on the (2,q) family.  ``corollary_adjusted``
-    records that this correction is in effect.
+    form used here, tight on the (2,q) family.
     """
 
     left_holds: bool
@@ -251,7 +250,6 @@ class CrossingBoundsReport(NamedTuple):
     corollary_left_holds: bool
     corollary_right_holds: bool
     corollary_right_equality: bool
-    corollary_adjusted: bool = True
 
     @property
     def all_hold(self) -> bool:

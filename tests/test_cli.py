@@ -266,6 +266,34 @@ def test_curves_range_syntax(capsys, tmp_path):
                        "--crossing", "3,5..17", "--svg", str(tmp_path / "y.svg"))
     assert code == 0
     assert (tmp_path / "y.svg").exists()
+    # An empty list item is skipped.
+    for spec, name in [("1,,2", "a.svg"), ("1,2", "b.svg")]:
+        assert run(capsys, "curves", "--unknotting", spec,
+                   "--svg", str(tmp_path / name))[0] == 0
+    assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+
+T25_ROW = f"3_1\t{to_pd_text(torus_pd((2, 5)))}\n"
+
+
+@pytest.mark.parametrize("argv, table, expected", [
+    (["table", "F", "--audit"], T25_ROW, (2, (
+        "records: 1 computed\n"
+        "VIOLATION 3_1: |v2| = 3 > c(c-1)/4 = 3/2\n"
+        "VIOLATION 3_1: |v3| = 5 > c(c-1)(c-2)/4 = 3/2\n"
+        "VIOLATION 3_1: v2 = 3 > c^2/8 = 9/8\n"), "")),
+    (["table", "F"], f"3_1 {TREFOIL_PD}\n",
+     (1, "", "error: F:1: expected 'name<TAB>PD[...]'\n")),
+    (["pseudo", "2", "3"], None, (0, "u~ = 1.39445\nc~ = 3.39445\n", "")),
+    (["generate", "whitehead", "1", "2"], None,
+     (1, "", "error: whitehead takes a single index\n")),
+], ids=["audit-violations", "row-without-tab", "pseudo-float", "whitehead-two-args"])
+def test_cli_run_is_pinned(capsys, tmp_path, monkeypatch, argv, table, expected):
+    """Exit code, stdout and stderr of one run, with any table in file F."""
+    if table is not None:
+        (tmp_path / "F").write_text(table, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == expected
 
 
 def test_usage_error_is_exit_1(capsys):

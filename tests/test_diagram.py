@@ -1,6 +1,7 @@
 import hashlib
 import random
 from math import gcd
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import pd_oracle
 from conftest import TREFOIL_GAUSS, TREFOIL_PD, knot_braids
-from knotfish.diagram import (Diagram, _walk, connect_sum, mirror,
+from knotfish.diagram import (Diagram, _quads, _walk, connect_sum, mirror,
                               parse_gauss, parse_pd, to_gauss, to_pd_text,
                               writhe)
 from knotfish.errors import (GaussSyntaxError, PDSyntaxError, ValidationError)
@@ -19,7 +20,7 @@ def test_parse_trefoil():
     d = parse_pd(TREFOIL_PD)
     assert d.crossing_count == 3
     assert d.edge_count == 6
-    assert [c.sign for c in d.crossings] == [1, 1, 1]
+    assert list(d.signs) == [1, 1, 1]
 
 
 def test_parse_empty_pd_is_unknot():
@@ -64,7 +65,7 @@ def test_nonplanar_code_rejected():
 def test_parse_gauss_trefoil_matches_pd():
     g = parse_gauss(TREFOIL_GAUSS)
     assert g.crossing_count == 3
-    assert [c.sign for c in g.crossings] == [1, 1, 1]
+    assert list(g.signs) == [1, 1, 1]
     assert writhe(g) == 3
 
 
@@ -96,7 +97,7 @@ def test_pd_round_trip_exact():
 def test_positive_kink_valid():
     d = parse_pd("PD[X(1,2,2,1)]")
     assert writhe(d) == 1
-    assert parse_pd("PD[X(1,1,2,2)]").crossings[0].sign == -1
+    assert parse_pd("PD[X(1,1,2,2)]").signs[0] == -1
 
 
 def test_writhe_examples():
@@ -133,13 +134,13 @@ def test_connect_sum_unknot_is_identity():
 def test_diagram_is_immutable():
     d = parse_pd(TREFOIL_PD)
     with pytest.raises(AttributeError):
-        d.name = "other"
+        d.labels = ()
 
 
 def test_diagram_holds_only_its_crossings():
-    # The walk is derived from the edge labels, never stored, and the
-    # crossings are read off the flat fields.
-    assert Diagram.__slots__ == ("labels", "signs", "name")
+    # A diagram is its PD code: the walk is derived from the edge labels,
+    # never stored, and a knot's name lives in its table record.
+    assert Diagram.__slots__ == ("labels", "signs")
 
 
 def _representation_corpus() -> list[Diagram]:
@@ -168,6 +169,17 @@ def _representation_corpus() -> list[Diagram]:
             + [connect_sum(a, b) for a, b in zip(base, base[1:])])
 
 
+class Crossing(NamedTuple):
+    """The record whose repr the pinned digest below was computed from."""
+
+    edges: tuple[int, int, int, int]
+    sign: int
+
+
+def crossings(d: Diagram) -> tuple[Crossing, ...]:
+    return tuple(map(Crossing, _quads(d.labels), d.signs))
+
+
 # SHA-256 of every corpus diagram's crossings, PD text, Gauss text and
 # writhe, one line each, as the crossing-tuple representation gave them.
 REPRESENTATION_SHA256 = (
@@ -175,7 +187,7 @@ REPRESENTATION_SHA256 = (
 
 
 def test_representation_is_pinned():
-    lines = "".join(f"{d.crossings!r}\t{to_pd_text(d)}\t{to_gauss(d).text()}"
+    lines = "".join(f"{crossings(d)!r}\t{to_pd_text(d)}\t{to_gauss(d).text()}"
                     f"\t{writhe(d)}\n" for d in _representation_corpus())
     assert hashlib.sha256(lines.encode()).hexdigest() == REPRESENTATION_SHA256
 
@@ -186,15 +198,15 @@ def test_labels_are_flat_plain_ints_and_round_trip():
         assert len(d.labels) == 4 * d.crossing_count == 2 * d.edge_count
         assert all(type(e) is int for e in d.labels)
         assert all(s in (1, -1) for s in d.signs)
-        assert Diagram.from_tuples(c.edges for c in d.crossings) == d
+        assert Diagram.from_tuples(_quads(d.labels)) == d
 
 
 def test_equality_and_hash_ignore_crossing_order():
     rng = random.Random(14)
     for d in _representation_corpus():
-        tuples = [c.edges for c in d.crossings]
+        tuples = list(_quads(d.labels))
         rng.shuffle(tuples)
-        shuffled = Diagram.from_tuples(tuples, "other")
+        shuffled = Diagram.from_tuples(tuples)
         assert shuffled == d and hash(shuffled) == hash(d)
         assert d.crossing_count == 0 or mirror(d) != d
 
@@ -285,7 +297,7 @@ def outcome(read, code):
         return type(exc), str(exc)
     if not isinstance(result, Diagram):
         return result
-    return (result.edge_count, [(c.edges, c.sign) for c in result.crossings],
+    return (result.edge_count, list(zip(_quads(result.labels), result.signs)),
             tuple(_walk(result)))
 
 
@@ -301,7 +313,7 @@ def valid_codes(draw):
         d = torus_pd((p, draw(st.sampled_from([q, -q]))))
     else:
         d = whitehead_pd(draw(st.integers(-4, 4)))
-    return [c.edges for c in d.crossings]
+    return list(_quads(d.labels))
 
 
 @st.composite

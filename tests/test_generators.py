@@ -5,8 +5,8 @@ import pytest
 from knotfish.diagram import (connect_sum, mirror, parse_gauss, to_gauss,
                               to_pd_text, writhe)
 from knotfish.errors import InputError, ValidationError
-from knotfish.generators import (TorusParams, WhiteheadIndex, braid_closure,
-                                 torus_pd, whitehead_closed_form, whitehead_pd)
+from knotfish.generators import (TorusParams, braid_closure, torus_pd,
+                                 whitehead_closed_form, whitehead_pd)
 from knotfish.jones import v2_v3
 from knotfish.torus import torus_v2v3
 
@@ -125,11 +125,7 @@ def test_whitehead_closed_form_values():
     assert tuple(whitehead_closed_form(0)) == (0, 0)
     assert tuple(whitehead_closed_form(-3)) == (-3, 3)
     assert tuple(whitehead_closed_form(2)) == (2, 3)
-    assert tuple(whitehead_closed_form(WhiteheadIndex(4))) == (4, 10)
-
-
-def test_whitehead_pd_accepts_index_object():
-    assert whitehead_pd(WhiteheadIndex(-1)) == whitehead_pd(-1)
+    assert tuple(whitehead_closed_form(4)) == (4, 10)
 
 
 def test_braid_closure_figure_eight():
@@ -155,6 +151,9 @@ def test_braid_closure_rejects_bad_letters():
         braid_closure([3], 3)
     with pytest.raises(InputError):
         braid_closure([0], 2)
+    with pytest.raises(InputError) as error:
+        braid_closure([], 0)
+    assert str(error.value) == "braid needs at least one strand"
 
 
 def test_braid_closure_single_strand_unknot():
@@ -164,10 +163,8 @@ def test_braid_closure_single_strand_unknot():
 @pytest.mark.parametrize("build, message", [
     (lambda: whitehead_pd(2.9), "Whitehead index 2.9 is not an integer"),
     (lambda: whitehead_pd("3"), "Whitehead index '3' is not an integer"),
-    (lambda: whitehead_pd(WhiteheadIndex(True)),
-     "Whitehead index True is not an integer"),
-    (lambda: whitehead_closed_form(WhiteheadIndex(2.5)),
-     "Whitehead index 2.5 is not an integer"),
+    (lambda: whitehead_pd(True), "Whitehead index True is not an integer"),
+    (lambda: whitehead_closed_form(2.5), "Whitehead index 2.5 is not an integer"),
     (lambda: braid_closure([1, 2.0, 1, 2.0], 3),
      "braid letter 2.0 is not an integer"),
     (lambda: braid_closure([True] * 3, 2), "braid letter True is not an integer"),

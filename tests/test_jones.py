@@ -25,9 +25,8 @@ def bracket_oracle(d):
         return {0: 1}
     glue = {}
     occurrences = {}
-    for i, c in enumerate(d.crossings):
-        for s, e in enumerate(c.edges):
-            occurrences.setdefault(e, []).append((i, s))
+    for dart, e in enumerate(d.labels):     # slot s of crossing i
+        occurrences.setdefault(e, []).append(divmod(dart, 4))
     for pair in occurrences.values():
         glue[pair[0]] = pair[1]
         glue[pair[1]] = pair[0]

@@ -46,4 +46,4 @@ def test_from_tuples_total_on_tuples(tuples):
         d = Diagram.from_tuples(tuples)
     except InputError:
         return
-    assert all(type(e) is int for c in d.crossings for e in c.edges)
+    assert all(type(e) is int for e in d.labels)

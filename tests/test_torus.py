@@ -102,7 +102,6 @@ def test_crossing_corollary_derived_constants_fix_printed_failure():
     v2 = 1
     assert (sqrt(25 + 96 * v2) - 5) / 24 < 3
     r = check_crossing_bounds((2, 3))
-    assert r.corollary_adjusted
     assert r.corollary_left_holds and r.corollary_right_holds
     assert r.corollary_right_equality
 
