@@ -9,7 +9,8 @@ the orientation of the knot, so the successor of edge e is ``e % 2n + 1``.
 The crossing sign is derived from the labels: +1 when d - b == 1 (mod 2n),
 -1 when b - d == 1 (mod 2n); the one-crossing kink, where both congruences
 hold, is resolved by which slots the loop edge occupies (a == d gives +1,
-a == b gives -1).
+a == b gives -1).  One loop over the crossings derives each sign and
+marks the under and over in-edges.
 
 Validation accepts only single-component diagrams (knots) whose code is
 realizable in the plane; realizability is decided by tracing the faces of
@@ -135,9 +136,13 @@ def _from_labels(labels: list) -> Diagram:
     positive; every label in 1..2n appears exactly twice; the under-strand
     is label-consecutive at each crossing; the over-strand pair determines
     a sign; no edge enters two crossings; the faces close up to a sphere
-    (planarity).  Then each strand entered by edge e leaves by edge
-    e % 2n + 1, and the 2n in-edges are distinct, so the orientation walk
-    is 1, 2, ..., 2n: one component, with no walk left to check.
+    (planarity).  One loop over the crossings runs the two strand checks,
+    derives the sign and marks the in-edges.  It notes the first edge, in
+    reading order, that enters twice and reports it after the loop, so
+    every strand error still comes first.  Then each strand entered by
+    edge e leaves by edge e % 2n + 1, and the 2n in-edges are distinct, so
+    the orientation walk is 1, 2, ..., 2n: one component, with no walk
+    left to check.
     """
     _check_labels(labels)
     if not labels:
@@ -151,15 +156,35 @@ def _from_labels(labels: list) -> Diagram:
         raise ValidationError(f"every edge label in 1..{ne} must appear exactly "
                               f"twice; offending labels: {bad}")
 
-    signs = [_derive_sign(t, ne) for t in _quads(labels)]
-
+    signs = []
     entered = bytearray(ne + 1)     # entered[e]: edge e enters a crossing
-    for (a, b, _, d), sign in zip(_quads(labels), signs):
-        for e in (a, b if sign > 0 else d):     # the under and over in-edges
-            if entered[e]:
-                raise ValidationError(
-                    f"edge {e} enters two crossings; orientation inconsistent")
-            entered[e] = 1
+    twice = 0                       # the first edge that enters twice
+    for t in _quads(labels):
+        a, b, c, d = t
+        if c % ne != (a + 1) % ne:
+            raise ValidationError(
+                f"under-strand edges not consecutive in crossing {t}")
+        if ne == 2:
+            # The labels are 1, 1, 2, 2 and c != a, so b or d holds a.
+            sign = 1 if a == d else -1
+        elif (d - b) % ne == 1:
+            sign = 1
+        elif (b - d) % ne == 1:
+            sign = -1
+        else:
+            raise ValidationError(
+                f"over-strand edges not consecutive in crossing {t}")
+        signs.append(sign)
+        if entered[a] and not twice:        # the under in-edge
+            twice = a
+        entered[a] = 1
+        o = b if sign > 0 else d            # the over in-edge
+        if entered[o] and not twice:
+            twice = o
+        entered[o] = 1
+    if twice:
+        raise ValidationError(
+            f"edge {twice} enters two crossings; orientation inconsistent")
 
     _check_planar(labels, ne)
     return Diagram(tuple(labels), tuple(signs))
@@ -177,22 +202,6 @@ def _walk(d: Diagram) -> list[tuple[int, bool]]:
         walk[a - 1] = (i, False)
         walk[(b if sign > 0 else dd) - 1] = (i, True)
     return walk
-
-
-def _derive_sign(t: tuple[int, int, int, int], ne: int) -> int:
-    a, b, c, d = t
-    if c % ne != (a + 1) % ne:
-        raise ValidationError(
-            f"under-strand edges not consecutive in crossing {t}")
-    if ne == 2:
-        # The labels are 1, 1, 2, 2 and c != a, so b or d holds a.
-        return 1 if a == d else -1
-    if (d - b) % ne == 1:
-        return 1
-    if (b - d) % ne == 1:
-        return -1
-    raise ValidationError(
-        f"over-strand edges not consecutive in crossing {t}")
 
 
 def _check_planar(labels: list[int], ne: int) -> None:

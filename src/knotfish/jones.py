@@ -31,9 +31,14 @@ with chords a, b, c labelled in order of first appearance,
        U_a U_b O_c O_a U_c O_b     U_a O_b U_c O_a U_b O_c
        U_a O_b O_c U_b O_a U_c     O_a U_b U_a O_c O_b U_c
        O_a U_b O_c U_a O_b U_c,
-so v2 costs O(c^2) and v3 O(c^3).  The tests check both sums against
-the Jones derivatives on random braid closures, their mirrors, connected
-sums, Whitehead doubles and every rotation of the base point.
+so v2 costs O(c^2) and v3 O(c^3).  The chords are built once, as one
+list of row tuples sorted by first endpoint, and the loops unpack each
+row; the U_a O_b case splits on which chord ends first, so each inner
+loop tests one condition.  The tests check both sums against the Jones
+derivatives on random braid closures, their mirrors, connected sums,
+Whitehead doubles and every rotation of the base point; against the
+earlier indexed form (``tests/gauss_oracle.py``) above the bracket's cap;
+and for invariance under random Reidemeister I and II moves.
 """
 
 from __future__ import annotations
@@ -133,68 +138,64 @@ def jones(d: Diagram, cap: int = DEFAULT_CROSSING_CAP) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def _chords(d: Diagram):
-    """The Gauss diagram of ``d`` based at the start of its walk: one chord
-    per crossing, in order of first endpoint, as parallel tuples of first
-    and last endpoint, whether the first visit passes under, and the
-    crossing sign.
+def v2_v3(d: Diagram) -> InvariantPair:
+    """The Vassiliev invariants (v2, v3) by Gauss-diagram formulas.
 
-    Edge label e is the e-th visit, so a chord's endpoints are the labels
-    of the crossing's in-edges: for crossing i, ``labels[4i]`` under, and
-    ``labels[4i+1]`` (sign +1) or ``labels[4i+3]`` (sign -1) over.
+    Counts the signed arrow subdiagrams listed in the module docstring;
+    no state sum runs, so there is no crossing cap.  Edge label e is the
+    e-th visit, so a chord's endpoints are the labels of its crossing's
+    in-edges: ``labels[4i]`` under, and ``labels[4i+1]`` (sign +1) or
+    ``labels[4i+3]`` (sign -1) over.  A row is (first endpoint, last
+    endpoint, first visit passes under, sign).
     """
     labels, rows = d.labels, []
     for a, b, dd, s in zip(labels[0::4], labels[1::4], labels[3::4], d.signs):
         o = b if s > 0 else dd
         rows.append((a, o, True, s) if a < o else (o, a, False, s))
     rows.sort()
-    return tuple(zip(*rows)) or ((), (), (), ())
-
-
-def v2_v3(d: Diagram) -> InvariantPair:
-    """The Vassiliev invariants (v2, v3) by Gauss-diagram formulas.
-
-    Counts the signed arrow subdiagrams listed in the module docstring;
-    no state sum runs, so there is no crossing cap.
-    """
-    first, last, under_first, sign = _chords(d)
-    n = len(first)
+    n = len(rows)
     v2 = v3 = 0
     # Chords a < b < c are in order of first endpoint.  In every pattern
     # b starts before a ends and c starts before b ends, so both inner
     # loops stop at the first chord that starts too late.
     for a in range(n):
-        la, ua, sa = last[a], under_first[a], sign[a]
+        _, la, ua, sa = rows[a]
         for b in range(a + 1, n):
-            if first[b] > la:
+            fb, lb, ub, sb = rows[b]
+            if fb > la:
                 break
-            lb, ub, sab = last[b], under_first[b], sa * sign[b]
+            sab = sa * sb
             if ua and ub:
                 if la < lb:
                     # U_a U_b O_c O_a U_c O_b
-                    for c in range(b + 1, n):
-                        if first[c] > la:
+                    for fc, lc, uc, sc in rows[b + 1:]:
+                        if fc > la:
                             break
-                        if not under_first[c] and la < last[c] < lb:
-                            v3 += sab * sign[c]
+                        if not uc and la < lc < lb:
+                            v3 += sab * sc
             elif ua:
                 if la < lb:
                     v2 += sab           # U_a O_b O_a U_b
-                # U_a O_b U_c O_a U_b O_c  and  U_a O_b O_c U_b O_a U_c
-                end, c_under = min(la, lb), la < lb
-                for c in range(b + 1, n):
-                    if first[c] > end:
-                        break
-                    lc = last[c]
-                    if lc > la and lc > lb and under_first[c] == c_under:
-                        v3 += sab * sign[c]
+                    # U_a O_b U_c O_a U_b O_c
+                    for fc, lc, uc, sc in rows[b + 1:]:
+                        if fc > la:
+                            break
+                        if uc and lc > lb:
+                            v3 += sab * sc
+                else:
+                    # U_a O_b O_c U_b O_a U_c
+                    for fc, lc, uc, sc in rows[b + 1:]:
+                        if fc > lb:
+                            break
+                        if not uc and lc > la:
+                            v3 += sab * sc
             elif ub and la < lb:
                 # O_a U_b U_a O_c O_b U_c  and  O_a U_b O_c U_a O_b U_c
-                for c in range(b + 1, n):
-                    if first[c] > lb:
+                for fc, lc, uc, sc in rows[b + 1:]:
+                    if fc > lb:
                         break
-                    if not under_first[c] and last[c] > lb:
-                        v3 += sab * sign[c]
+                    if not uc and lc > lb:
+                        v3 += sab * sc
     return InvariantPair(v2, v3)
 
 

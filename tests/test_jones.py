@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+import gauss_oracle
 from conftest import (TREFOIL_GAUSS, TREFOIL_PD, count_bracket_calls,
                       jones_module, knot_braids)
 from jones_oracle import pair_from_jones
@@ -264,6 +265,23 @@ def test_gauss_formulas_above_the_bracket_cap(first, second):
     for k in range(1, len(entries)):
         rotated = diagram_from_walk(entries[k:] + entries[:k])
         assert v2_v3(rotated) == (v2, v3), k
+
+
+@settings(deadline=None, max_examples=10)
+@given(large_knot_braids(), large_knot_braids())
+def test_gauss_formulas_match_reference_above_the_bracket_cap(first, second):
+    """The unpacked-row ``v2_v3`` equals the indexed one kept in
+    ``gauss_oracle`` on closures above the cap, their mirrors, their
+    connected sum and every base point of the first closure and its
+    mirror."""
+    d, e = braid_closure(*first), braid_closure(*second)
+    for f in (d, mirror(d)):
+        entries = to_gauss(f).entries
+        for k in range(len(entries)):
+            rotated = diagram_from_walk(entries[k:] + entries[:k])
+            assert v2_v3(rotated) == gauss_oracle.v2_v3(rotated), k
+    s = connect_sum(d, e)
+    assert v2_v3(s) == gauss_oracle.v2_v3(s)
 
 
 @pytest.mark.parametrize("i", range(-6, 7))
