@@ -2,10 +2,11 @@
 """Run the benchmark in pairs on two checkouts, a parent and a change.
 
     python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload table \\
-        --seed 1 --pairs 10 [--seconds 30] [--out pairs.json]
+        --seed 1 --pairs 10
 
 Each checkout runs its own ``perfbench/run.py`` as it is, with the same
-workload, seed and run length, one run per side per pair.  The side that
+workload and seed and the run length of ``BENCHMARK.json``, one run per
+side per pair.  The side that
 runs first alternates from pair to pair, so a slow period of the machine
 falls on both.  For every end-to-end metric of ``BENCHMARK.json`` it
 prints each side's median and quartiles, the number of pairs the change
@@ -62,8 +63,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines and proc.returncode in (0, 1) else None
-    if proc.returncode != 0 or result is None or not result["correct"]:
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    if result is None or not result["correct"]:
         sys.exit(f"{checkout}: {workload} seed {seed} exited {proc.returncode}\n"
                  f"{proc.stderr[-2000:]}")
     return {name: m["value"] for name, m in result["metrics"].items()}
@@ -76,11 +77,9 @@ def main() -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float)
-    ap.add_argument("--out", type=Path)
     args = ap.parse_args()
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for k in range(args.pairs):
@@ -92,12 +91,10 @@ def main() -> int:
                 f"{name} {value:.6g}" for name, value in metrics.items()), flush=True)
 
     print(f"\n{args.workload}, seed {args.seed}: {args.pairs} pairs of {seconds:g} s")
-    summary = {}
     for m in spec["end_to_end"]:
         name = m["name"]
         s = summarise([r[name] for r in runs["parent"]],
                       [r[name] for r in runs["change"]], m["better"])
-        summary[name] = s
         p, c = s["parent"], s["change"]
         print(f"  {name:24s} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
               f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {m['unit']}"
@@ -105,10 +102,6 @@ def main() -> int:
               f"  wins {s['wins']}/{s['pairs']}"
               f"  gap {s['gap']:.4g} vs parent IQR {s['parent_iqr']:.4g}"
               f"  claim {'holds' if s['claim'] else 'does not hold'}")
-    if args.out:
-        args.out.write_text(json.dumps({
-            "workload": args.workload, "seed": args.seed, "seconds": seconds,
-            "pairs": args.pairs, "summary": summary, "runs": runs}, indent=1) + "\n")
     return 0
 
 
