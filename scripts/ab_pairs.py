@@ -13,8 +13,10 @@ prints each side's median and quartiles, the number of pairs the change
 won (ties count for neither side), and whether a gain may be claimed:
 the change won at least nine tenths of the pairs, and its median is
 better than the parent's by more than the distance between the parent's
-quartiles.  A run that exits non-zero or reports a wrong output stops
-the script with exit status 1.  Standard library only.
+quartiles.  Each run's wall time is printed with its metrics, and the
+summary gives each side's median wall time, so a change that makes the
+benchmark's runs take longer shows up here.  A run that exits non-zero
+or reports a wrong output stops the script with exit status 1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 
@@ -57,17 +60,21 @@ def summarise(parent: list[float], change: list[float], better: str) -> dict:
             "claim": 10 * wins >= 9 * len(parent) and gap > iqr}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``checkout``: its end-to-end metrics."""
+def run_once(checkout: Path, workload: str, seed: int,
+             seconds: float) -> tuple[dict, float]:
+    """One ``perfbench/run.py`` run in ``checkout``: its end-to-end metrics
+    and its wall time in seconds."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
     if result is None or not result["correct"]:
         sys.exit(f"{checkout}: {workload} seed {seed} exited {proc.returncode}\n"
                  f"{proc.stderr[-2000:]}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {name: m["value"] for name, m in result["metrics"].items()}, wall
 
 
 def main() -> int:
@@ -82,15 +89,20 @@ def main() -> int:
     seconds = spec["run_seconds"]
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    walls: dict[str, list[float]] = {"parent": [], "change": []}
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            metrics = run_once(getattr(args, side), args.workload, args.seed, seconds)
+            metrics, wall = run_once(getattr(args, side), args.workload,
+                                     args.seed, seconds)
             runs[side].append(metrics)
-            print(f"pair {k + 1:2d} {side:6s} " + "  ".join(
+            walls[side].append(wall)
+            print(f"pair {k + 1:2d} {side:6s} wall {wall:.1f} s  " + "  ".join(
                 f"{name} {value:.6g}" for name, value in metrics.items()), flush=True)
 
     print(f"\n{args.workload}, seed {args.seed}: {args.pairs} pairs of {seconds:g} s")
+    print(f"  {'wall_s':24s} parent {statistics.median(walls['parent']):.1f}"
+          f"  change {statistics.median(walls['change']):.1f} s (median per run)")
     for m in spec["end_to_end"]:
         name = m["name"]
         s = summarise([r[name] for r in runs["parent"]],

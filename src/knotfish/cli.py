@@ -59,10 +59,12 @@ def _num(x) -> str:
     return str(x)
 
 
-def _load_table_arg(source: str):
-    if source == "bundled":
-        return table_mod.load_bundled()
-    return table_mod.load_table(source)
+def _computed_table(source: str) -> list[table_mod.KnotRecord]:
+    """The records of the table file ``source``, or of the packaged table
+    for 'bundled', with their invariants filled in."""
+    records = (table_mod.load_bundled() if source == "bundled"
+               else table_mod.load_table(source))
+    return table_mod.compute_all(records)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -81,12 +83,15 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    records = table_mod.compute_all(_load_table_arg(args.file))
-    did_something = False
+    records = _computed_table(args.file)
+    if not (args.maxima or args.audit or args.csv):
+        for rec in records:
+            print(f"{rec.name}\t{rec.crossing_number}\t"
+                  f"{rec.invariants.v2}\t{rec.invariants.v3}")
+        return 0
     if args.maxima or args.audit:
         print(f"records: {len(records)} computed")
     if args.maxima:
-        did_something = True
         print("c  max|v2|  max|v3|  bound|v2|  bound|v3|")
         for c, m2, m3, b2, b3 in table_mod.crossing_maxima(records):
             print(f"{c:<3d}{m2:<9d}{m3:<9d}{_num(b2):<11s}{_num(b3)}")
@@ -94,7 +99,6 @@ def _cmd_table(args) -> int:
             print(f"note: printed bound table gives {which} bound {_num(printed)} "
                   f"at c={c}; formula value is {_num(formula)}")
     if args.audit:
-        did_something = True
         violations = table_mod.bound_audit(records)
         if violations:
             for name, rule in violations:
@@ -105,19 +109,13 @@ def _cmd_table(args) -> int:
         print("v3 = 0 (amphicheiral candidates): "
               + (", ".join(f"{n} ({p})" for n, p in amphi) or "none"))
     if args.csv:
-        did_something = True
         emit_csv(records, args.csv)
         print(f"wrote {args.csv}")
-    if not did_something:
-        for rec in records:
-            print(f"{rec.name}\t{rec.crossing_number}\t"
-                  f"{rec.invariants.v2}\t{rec.invariants.v3}")
     return 0
 
 
 def _cmd_plot(args) -> int:
-    records = table_mod.compute_all(_load_table_arg(args.file))
-    emit_fish_svg(records, args.crossing, args.svg,
+    emit_fish_svg(_computed_table(args.file), args.crossing, args.svg,
                   include_mirrors=not args.no_mirrors)
     print(f"wrote {args.svg}")
     return 0

@@ -3,7 +3,9 @@
 SVG is emitted as primitive shapes with all numbers formatted to six
 significant digits, so identical inputs give byte-identical files.  Each
 coordinate is mapped and formatted in one f-string; screen coordinates are
-at least 48, so no "-0" can arise.
+at least 48, so no "-0" can arise.  Every emitter builds its text in memory
+and writes it through ``_write``: UTF-8 bytes, LF line endings, and the
+output path returned.
 Convention: v2 runs horizontally, v3 vertically; mirror images reflect
 across the v2-axis, so fish scatters get a symmetric vertical range.
 """
@@ -89,20 +91,25 @@ def _render_svg(points: list[tuple[float, float, str]],
     return "\n".join(parts) + "\n"
 
 
+def _write(out: str | Path, text: str) -> Path:
+    """Write ``text`` to ``out`` as UTF-8 bytes, line endings as given."""
+    out = Path(out)
+    out.write_bytes(text.encode("utf-8"))
+    return out
+
+
 def emit_csv(records: list[KnotRecord], out: str | Path) -> Path:
     """Write ``name,crossings,v2,v3`` rows in input order, LF endings;
     names are quoted where CSV needs it.  Takes ``compute_all`` output; a
     record without invariants raises before the file is written.
     """
-    out = Path(out)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("name", "crossings", "v2", "v3"))
     for rec in records:
         writer.writerow((rec.name, rec.crossing_number,
                          rec.invariants.v2, rec.invariants.v3))
-    out.write_bytes(buf.getvalue().encode("utf-8"))
-    return out
+    return _write(out, buf.getvalue())
 
 
 def emit_fish_svg(records: list[KnotRecord], crossing_number: int,
@@ -122,10 +129,8 @@ def emit_fish_svg(records: list[KnotRecord], crossing_number: int,
         if include_mirrors and v3 != 0:
             pts.append((float(v2), float(-v3), f"mirror({rec.name})"))
     pts.sort()
-    svg = _render_svg(pts, [], f"prime knots with {crossing_number} crossings")
-    out = Path(out)
-    out.write_bytes(svg.encode("utf-8"))
-    return out
+    title = f"prime knots with {crossing_number} crossings"
+    return _write(out, _render_svg(pts, [], title))
 
 
 def _torus_pairs(n: int, shift: int):
@@ -163,7 +168,4 @@ def emit_torus_overlay_svg(u_values: list[int], c_values: list[int],
         title_bits.append("torus unknotting-number curves")
     if c_values:
         title_bits.append("torus crossing-number curves")
-    svg = _render_svg(points, curves, ", ".join(title_bits))
-    out = Path(out)
-    out.write_bytes(svg.encode("utf-8"))
-    return out
+    return _write(out, _render_svg(points, curves, ", ".join(title_bits)))

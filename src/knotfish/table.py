@@ -4,11 +4,15 @@ Table files are UTF-8 text, one record per line, ``name<TAB>PD[...]``,
 with ``#`` comments and blank lines ignored; names are printable.  The
 tabulated minimal crossing number is read from the name prefix
 (``10_124`` -> 10), and no diagram may have fewer crossings.
+``load_table`` is the one reader: it drops a leading BOM, turns a byte
+that is not UTF-8 into ``InputError``, and prefixes every row error with
+``file:line``.
 
 A partial table generated from the package's own torus and twist-knot
-constructors is bundled; see data/knots_upto10.txt for its provenance
-and scope.  Audits accept any table in the same format, so a fuller
-table (11-15 crossings included) can be supplied by the user.
+constructors ships as data/knots_upto10.txt; see that file for its
+provenance and scope.  ``load_bundled`` reads it with ``load_table``.
+Audits accept any table in the same format, so a fuller table (11-15
+crossings included) can be supplied by the user.
 """
 
 from __future__ import annotations
@@ -55,42 +59,38 @@ def _crossing_number_from_name(name: str) -> int | None:
     return None
 
 
-def _parse_table_text(text: str, origin: str) -> list[KnotRecord]:
+def load_table(source: str | Path) -> list[KnotRecord]:
+    """Parse and validate a knot-table file; errors carry ``file:line``."""
+    path = Path(source)
     records: list[KnotRecord] = []
     names: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise InputError(f"{origin}:{lineno}: expected 'name<TAB>PD[...]'")
+            raise InputError(f"{path}:{lineno}: expected 'name<TAB>PD[...]'")
         name, pd_text = parts[0].strip(), parts[1].strip()
         if not name.isprintable():
-            raise InputError(f"{origin}:{lineno}: record name {name!r} is not printable")
+            raise InputError(f"{path}:{lineno}: record name {name!r} is not printable")
         if name in names:
             raise InputError(
-                f"{origin}:{lineno}: duplicate name {name!r} (first at line {names[name]})")
+                f"{path}:{lineno}: duplicate name {name!r} (first at line {names[name]})")
         names[name] = lineno
         try:
             diagram = parse_pd(pd_text)
         except KnotfishError as exc:
-            raise InputError(f"{origin}:{lineno}: {exc}") from exc
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
         c = _crossing_number_from_name(name)
         if c is None:
-            raise InputError(f"{origin}:{lineno}: record name {name!r} "
+            raise InputError(f"{path}:{lineno}: record name {name!r} "
                              "does not start with a crossing number")
         if diagram.crossing_count < c:
-            raise InputError(f"{origin}:{lineno}: {name!r} names {c} crossings, "
+            raise InputError(f"{path}:{lineno}: {name!r} names {c} crossings, "
                              f"but its diagram has {diagram.crossing_count}")
         records.append(KnotRecord(name, c, diagram))
     return records
-
-
-def load_table(source: str | Path) -> list[KnotRecord]:
-    """Parse and validate a knot-table file; errors carry line numbers."""
-    path = Path(source)
-    return _parse_table_text(read_utf8(path), str(path))
 
 
 def read_utf8(path: Path) -> str:
@@ -102,11 +102,8 @@ def read_utf8(path: Path) -> str:
 
 
 def load_bundled() -> list[KnotRecord]:
-    # importlib.resources is imported here, not at the top: it pulls in
-    # tempfile, shutil and zipfile, which no other command needs.
-    from importlib import resources
-    text = (resources.files("knotfish.data") / BUNDLED_TABLE).read_text("utf-8")
-    return _parse_table_text(text, BUNDLED_TABLE)
+    """The packaged table, read by ``load_table`` like any other."""
+    return load_table(Path(__file__).with_name("data") / BUNDLED_TABLE)
 
 
 def compute_all(records: list[KnotRecord]) -> list[KnotRecord]:

@@ -320,8 +320,6 @@ def torus_curve_samples(mode: str, value: int, n: int
         u = value
         lo = u * (u + math.sqrt(8 * u + 1) + 2) / 6
         hi = u * (u + 1) / 2
-        if hi < lo:
-            raise InputError(f"empty v2 range for u = {u}")
         for k in range(n):
             v2 = lo + (hi - lo) * k / (n - 1)
             v3 = v2 * v2 / u + (u - 1) * v2 / 6

@@ -385,6 +385,7 @@ random_codes = st.lists(st.tuples(label, label, label, label)
 @example([(3, 1, 4, 2), (4, 2, 1, 3)])
 @example([(1, 3, 2, 4), (3, 1, 4, 2)])
 @example([(2, 3, 3, 2), (1, 1, 4, 4)])
+@example([(1, 3, 2, 4), (1, 5, 2, 6), (3, 5, 6, 4)])
 def test_validator_matches_reference_on_random_tuples(tuples):
     assert (outcome(Diagram.from_tuples, tuples)
             == outcome(pd_oracle.from_tuples, tuples))

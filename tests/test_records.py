@@ -25,15 +25,27 @@ from knotfish.torus import CrossingBoundsReport, torus_report
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+# Modules that neither the import nor a table run may load: dataclasses
+# pulls in inspect, and importlib.resources pulls in zipfile and tempfile.
+_IMPORT_PROBE = """
+import sys
+def held():
+    return [m for m in ("dataclasses", "inspect", "importlib.resources",
+                        "zipfile", "tempfile") if m in sys.modules]
+import knotfish.cli
+after_import = held()
+code = knotfish.cli.cli_main(["table", "bundled", "--maxima"])
+print(code, after_import, held())
+"""
+
+
 def test_cli_import_skips_dataclasses_inspect_and_resources():
+    """Neither importing the CLI nor reading the bundled table loads them."""
     # -S keeps site (and the modules its .pth files import) out of the way.
-    probe = ("import sys, knotfish.cli; print(' '.join(m for m in "
-             "('dataclasses', 'inspect', 'importlib.resources') "
-             "if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+    out = subprocess.run([sys.executable, "-S", "-c", _IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.split() == []
+    assert out.stdout.splitlines()[-1] == "0 [] []"
 
 
 # What the benchmark in perfbench/ reads of the package after

@@ -1,16 +1,18 @@
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from conftest import TREFOIL_PD
+from knotfish import table
 from knotfish.diagram import parse_pd
 from knotfish.errors import InputError, ValidationError
 from knotfish.generators import braid_closure
 from knotfish.jones import InvariantPair, v2_v3
-from knotfish.table import (KnotRecord, amphicheiral_candidates, bound_audit,
-                            compute_all, crossing_maxima, load_table,
-                            printed_bound_check)
+from knotfish.table import (BUNDLED_TABLE, KnotRecord, amphicheiral_candidates,
+                            bound_audit, compute_all, crossing_maxima,
+                            load_bundled, load_table, printed_bound_check)
 
 
 def write_table(tmp_path, text):
@@ -212,6 +214,19 @@ def test_load_drops_a_leading_bom(tmp_path):
     path = tmp_path / "table.txt"
     path.write_bytes(b"\xef\xbb\xbf" + f"3_1\t{TREFOIL_PD}\n".encode())
     assert [rec.name for rec in load_table(path)] == ["3_1"]
+
+
+def test_bundled_table_is_read_by_load_table(tmp_path, monkeypatch):
+    """The packaged table gets the one reader: a copy with a BOM added
+    loads to the same records, and load_bundled calls load_table."""
+    packaged = Path(table.__file__).parent / "data" / BUNDLED_TABLE
+    copy = tmp_path / BUNDLED_TABLE
+    copy.write_bytes(b"\xef\xbb\xbf" + packaged.read_bytes())
+    assert load_bundled() == load_table(copy)
+    sources = []
+    monkeypatch.setattr(table, "load_table", lambda source: sources.append(source))
+    load_bundled()
+    assert sources == [packaged]
 
 
 @pytest.mark.parametrize("name", ["3_1\x01a", "3_1\x7f", "3_1\u200b"])

@@ -197,6 +197,16 @@ def test_curve_samples_lattice_points_lie_on_curve():
         assert v3 == v2 * v2 / u + Fraction(u - 1, 6) * v2
 
 
+def test_unknotting_curve_spans_its_v2_range_for_every_u():
+    """The v2 range [u(u + sqrt(8u+1) + 2)/6, u(u+1)/2] is never empty:
+    hi - lo = u(2u + 1 - sqrt(8u+1))/6, and (2u+1)^2 - (8u+1) = 4u(u-1) >= 0."""
+    for u in range(1, 301):
+        xs = [x for x, _ in torus_curve_samples("unknotting", u, 7)[0]]
+        assert xs[0] == pytest.approx(u * (u + sqrt(8 * u + 1) + 2) / 6, rel=1e-9)
+        assert xs[-1] == pytest.approx(u * (u + 1) / 2, rel=1e-9)
+        assert all(a <= b for a, b in zip(xs, xs[1:]))
+
+
 def test_curve_samples_invalid():
     with pytest.raises(InputError):
         torus_curve_samples("unknotting", 0, 5)
