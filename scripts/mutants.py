@@ -54,6 +54,7 @@ class Mutant(NamedTuple):
 _ABOVE_CAP = "tests/test_jones.py::test_gauss_formulas_above_the_bracket_cap"
 _MOVES = "tests/test_reidemeister.py::test_invariants_unchanged_by_reidemeister_moves"
 _RANDOM_TUPLES = "tests/test_diagram.py::test_validator_matches_reference_on_random_tuples"
+_ROUNDED = "tests/test_torus.py::test_recoveries_are_correctly_rounded"
 
 MUTANTS = (
     # v2_v3: one per branch condition or inner-loop break.
@@ -115,6 +116,16 @@ MUTANTS = (
            "return table_mod.compute_all(records)", "return records",
            ("tests/test_cli.py::test_table_default_listing",
             "tests/test_cli.py::test_plot_subcommand")),
+    # the once-rounded torus recoveries and the lattice-point search
+    Mutant("recovery-bits-not-doubled", "src/knotfish/torus.py",
+           "bits = 64 + 2 * (r.numerator", "bits = 64 + (r.numerator",
+           (_ROUNDED,)),
+    Mutant("rounding-ignores-exact", "src/knotfish/torus.py",
+           "if exact and x.denominator == 1 else", "if x.denominator == 1 else",
+           (_ROUNDED,)),
+    Mutant("torus-pairs-stop-short", "src/knotfish/torus.py",
+           "range(1, math.isqrt(n) + 1)", "range(1, math.isqrt(n) - 1 + 1)",
+           ("tests/test_torus.py::test_torus_pairs_match_the_linear_search",)),
 )
 
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import csv
 import io
-from math import gcd
 from pathlib import Path
 
 from .table import KnotRecord
-from .torus import torus_curve_samples, torus_v2v3
+from .torus import _torus_pairs, torus_curve_samples, torus_v2v3
 
 __all__ = ["emit_csv", "emit_fish_svg", "emit_torus_overlay_svg"]
 
@@ -131,16 +130,6 @@ def emit_fish_svg(records: list[KnotRecord], crossing_number: int,
     pts.sort()
     title = f"prime knots with {crossing_number} crossings"
     return _write(out, _render_svg(pts, [], title))
-
-
-def _torus_pairs(n: int, shift: int):
-    """Coprime 2 <= p < q with q = n/(p-1) + shift: the torus knots T(p, q)
-    with unknotting number n/2 (shift 1) or crossing number n (shift 0)."""
-    for a in range(1, n + 1):
-        if n % a == 0:
-            p, q = a + 1, n // a + shift
-            if p < q and gcd(p, q) == 1:
-                yield p, q
 
 
 def emit_torus_overlay_svg(u_values: list[int], c_values: list[int],

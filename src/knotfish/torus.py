@@ -5,12 +5,12 @@ Every inequality verdict here is exact, in integers scaled by each bound's
 denominator: lhs against k*sqrt(m) is the sign of lhs|lhs| - k|k|m, never
 a float.  Only rho, the recovery radicands and the quartic are Fractions.
 
-Int-or-float rule: the "real" quantities (crossing_recovery and both
-pseudo-invariants) are exact ints when the radicands they use are perfect
-squares and the value is an integer; otherwise they are floats.  The
-pseudo-unknotting number uses (rho+1)^2 - 24 v2, as the exact
-unknotting_from_invariants does; crossing_recovery, and so the
-pseudo-crossing number, uses it and (rho-1)^2 - 24 v2.
+One-rounding rule: crossing_recovery and both pseudo-invariants are
+Fractions from exact square roots, or from roots carried far enough past
+rho's size to cover the cancellation, rounded once: an int when the roots
+used are exact and the value is integral, else the nearest float, and
+ComputationError beyond the float range.  They use (rho+1)^2 - 24 v2, as
+unknotting_from_invariants does, and c~ also (rho-1)^2 - 24 v2.
 
 The four report types are ``typing.NamedTuple`` records, as are
 ``TorusParams`` and ``InvariantPair``: immutable, with named fields, and
@@ -45,15 +45,13 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return q
 
 
-def _sqrt_exact(f: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative Fraction, or None."""
-    if f < 0:
-        return None
-    rn = math.isqrt(f.numerator)
-    rd = math.isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None
+def _sqrt(f: Fraction, bits: int) -> tuple[Fraction, bool]:
+    """(root, exact) for f >= 0: sqrt(f) when f is the square of a Fraction,
+    else sqrt(f) rounded down to within 2^-bits of it, relative."""
+    m = f.numerator * f.denominator             # sqrt(f) = sqrt(m) / denominator
+    k = max(0, bits - (m.bit_length() - 1) // 2)    # so sqrt(m) 2^k >= 2^bits
+    s = math.isqrt(m << 2 * k)
+    return Fraction(s, f.denominator << k), s * s == m << 2 * k
 
 
 def _cmp_to_root(lhs: Fraction, coeff: Fraction, radicand: Fraction) -> int:
@@ -64,10 +62,6 @@ def _cmp_to_root(lhs: Fraction, coeff: Fraction, radicand: Fraction) -> int:
         raise RadicandError(f"negative radicand {radicand}")
     diff = lhs * abs(lhs) - coeff * abs(coeff) * radicand
     return (diff > 0) - (diff < 0)
-
-
-def _int_or_float(x: Fraction) -> int | float:
-    return int(x) if x.denominator == 1 else float(x)
 
 
 # -- closed forms -----------------------------------------------------------
@@ -144,8 +138,8 @@ def unknotting_from_invariants(pair: InvariantPair) -> int:
     # u^2 - (1 + rho) u + 6 v2 = 0 for v2 > 0.  For v2 < 0 the product of
     # the roots, 6 v2, is negative, so the smaller root is never positive.
     r, disc, _ = _radicands(pair)
-    root = _sqrt_exact(disc)
-    if root is None:
+    root, exact = _sqrt(disc, 0) if disc >= 0 else (None, False)
+    if not exact:
         raise NoIntegerRootError(f"discriminant {disc} is not a perfect square")
     u = (1 + r - root) / 2
     if u.denominator != 1 or u <= 0:
@@ -210,17 +204,22 @@ def crossing_recovery(pair: InvariantPair) -> int | float:
     r, rad_plus, rad_minus = _radicands(pair)
     if rad_minus < 0:           # rad_plus = rad_minus + 4 rho >= rad_minus
         raise RadicandError("crossing recovery radicand negative")
-    return _recovered_crossing(r, rad_plus, rad_minus, _sqrt_exact(rad_plus))
+    return _recovered(r, rad_plus, rad_minus)[1]
 
 
-def _recovered_crossing(r: Fraction, rad_plus: Fraction, rad_minus: Fraction,
-                        s_plus: Fraction | None) -> int | float:
-    """c from rho and its radicands (rad_minus >= 0); s_plus is the exact
-    root of rad_plus, or None when it has none."""
-    s_minus = _sqrt_exact(rad_minus)
-    if s_plus is not None and s_minus is not None:
-        return _int_or_float(r - (s_minus + s_plus) / 2)
-    return float(r) - (math.sqrt(rad_minus) + math.sqrt(rad_plus)) / 2
+def _recovered(r: Fraction, rad_plus: Fraction, rad_minus: Fraction):
+    """(u~, c~) from rho and its radicands, rad_minus >= 0.  Each is ~|v2|/rho
+    or more, so roots good to 2^-bits leave it good to ~rho^2 2^-bits < 2^-64."""
+    bits = 64 + 2 * (r.numerator.bit_length() + r.denominator.bit_length())
+    s_plus, plus_exact = _sqrt(rad_plus, bits)
+    s_minus, minus_exact = _sqrt(rad_minus, bits)
+    values = (((1 + r - s_plus) / 2, plus_exact),
+              (r - (s_minus + s_plus) / 2, plus_exact and minus_exact))
+    try:
+        return tuple(int(x) if exact and x.denominator == 1 else float(x)
+                     for x, exact in values)
+    except OverflowError:
+        raise ComputationError("recovered value too large for a float") from None
 
 
 def check_crossing_quartic(t: TorusParams | tuple[int, int]) -> bool:
@@ -292,11 +291,7 @@ def pseudo_invariants(pair: InvariantPair) -> tuple[int | float, int | float]:
     if rad_minus < 0:           # rad_minus v2^2 = (6|v3|-|v2|)^2 - 24 v2^3
         raise ConditionError(
             f"(6|v3|-|v2|)^2 >= 24 v2^3 fails for {tuple(pair)}")
-    s_plus = _sqrt_exact(rad_plus)
-    c = _recovered_crossing(r, rad_plus, rad_minus, s_plus)
-    if s_plus is not None:
-        return _int_or_float((1 + r - s_plus) / 2), c
-    return (1 + float(r) - math.sqrt(rad_plus)) / 2, c
+    return _recovered(r, rad_plus, rad_minus)
 
 
 # -- curve sampling (fish-plot overlays) ------------------------------------
@@ -309,35 +304,50 @@ def torus_curve_samples(mode: str, value: int, n: int
     the unknotting bounds are tight.  mode "crossing": the parametric curve
     through (v2(p), v3(p)) with q = c/(p-1), p in [2, sqrt(c+1)].  Returns
     the branches ``(plus, minus)``: n points (v2, v3) with v3 >= 0, and the
-    same n points with v3 negated.
+    same n points with v3 negated.  A sample that is not a finite float
+    raises ComputationError.
     """
     if n < 2:
         raise InputError("need at least 2 samples")
     if value < 1:
         raise InputError("curve parameter must be >= 1")
     pts_pos: list[tuple[float, float]] = []
-    if mode == "unknotting":
-        u = value
-        lo = u * (u + math.sqrt(8 * u + 1) + 2) / 6
-        hi = u * (u + 1) / 2
-        for k in range(n):
-            v2 = lo + (hi - lo) * k / (n - 1)
-            v3 = v2 * v2 / u + (u - 1) * v2 / 6
-            pts_pos.append((v2, v3))
-    elif mode == "crossing":
-        c = value
-        p_hi = math.sqrt(c + 1)
-        if p_hi < 2:
-            raise InputError(f"empty parameter range for c = {c} (need c >= 3)")
-        for k in range(n):
-            p = 2 + (p_hi - 2) * k / (n - 1)
-            q = c / (p - 1)
-            v2 = (p * p - 1) * (q * q - 1) / 24
-            v3 = p * q * (p * p - 1) * (q * q - 1) / 144
-            pts_pos.append((v2, v3))
-    else:
-        raise InputError(f"unknown curve mode {mode!r}")
+    try:
+        if mode == "unknotting":
+            u = value
+            lo = u * (u + math.sqrt(8 * u + 1) + 2) / 6
+            hi = u * (u + 1) / 2
+            for k in range(n):
+                v2 = lo + (hi - lo) * k / (n - 1)
+                v3 = v2 * v2 / u + (u - 1) * v2 / 6
+                pts_pos.append((v2, v3))
+        elif mode == "crossing":
+            c = value
+            p_hi = math.sqrt(c + 1)
+            if p_hi < 2:
+                raise InputError(f"empty parameter range for c = {c} (need c >= 3)")
+            for k in range(n):
+                p = 2 + (p_hi - 2) * k / (n - 1)
+                q = c / (p - 1)
+                v2 = (p * p - 1) * (q * q - 1) / 24
+                v3 = p * q * (p * p - 1) * (q * q - 1) / 144
+                pts_pos.append((v2, v3))
+        else:
+            raise InputError(f"unknown curve mode {mode!r}")
+        if not all(math.isfinite(v2) and math.isfinite(v3) for v2, v3 in pts_pos):
+            raise OverflowError     # float products overflow to inf, not raise
+    except OverflowError:
+        raise ComputationError(f"{mode} curve samples do not fit in a float") from None
     return pts_pos, [(v2, -v3) for v2, v3 in pts_pos]
+
+
+def _torus_pairs(n: int, shift: int):
+    """Coprime 2 <= p < q with q = n/(p-1) + shift: the torus knots T(p, q)
+    with unknotting number n/2 (shift 1) or crossing number n (shift 0)."""
+    for a in range(1, math.isqrt(n) + 1):       # p < q forces (p-1)^2 < n
+        p, q = a + 1, n // a + shift
+        if n % a == 0 and p < q and math.gcd(p, q) == 1:
+            yield p, q
 
 
 # -- combined report --------------------------------------------------------

@@ -273,6 +273,19 @@ def test_curves_range_syntax(capsys, tmp_path):
     assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--unknotting", 10 ** 100), ("--unknotting", 10 ** 160), ("--crossing", 10 ** 400)])
+def test_curves_beyond_the_float_range_are_a_computation_error(capsys, tmp_path,
+                                                               flag, value):
+    """A curve whose samples overflow a float fails before its lattice
+    points are enumerated, and writes no file."""
+    target = tmp_path / "curves.svg"
+    mode = flag[2:]
+    assert run(capsys, "curves", flag, str(value), "--svg", str(target)) == (
+        2, "", f"computation error: {mode} curve samples do not fit in a float\n")
+    assert not target.exists()
+
+
 T25_ROW = f"3_1\t{to_pd_text(torus_pd((2, 5)))}\n"
 
 
@@ -287,7 +300,12 @@ T25_ROW = f"3_1\t{to_pd_text(torus_pd((2, 5)))}\n"
     (["pseudo", "2", "3"], None, (0, "u~ = 1.39445\nc~ = 3.39445\n", "")),
     (["generate", "whitehead", "1", "2"], None,
      (1, "", "error: whitehead takes a single index\n")),
-], ids=["audit-violations", "row-without-tab", "pseudo-float", "whitehead-two-args"])
+    (["pseudo", "7", str(10 ** 20)], None, (0, "u~ = 4.9e-19\nc~ = 9.8e-19\n", "")),
+    (["pseudo", "1", str(10 ** 400)], None, (0, "u~ = 0\nc~ = 0\n", "")),
+    (["pseudo", "--", str(-10 ** 700), "0"], None,
+     (2, "", "computation error: recovered value too large for a float\n")),
+], ids=["audit-violations", "row-without-tab", "pseudo-float", "whitehead-two-args",
+        "pseudo-tiny", "pseudo-underflow", "pseudo-overflow"])
 def test_cli_run_is_pinned(capsys, tmp_path, monkeypatch, argv, table, expected):
     """Exit code, stdout and stderr of one run, with any table in file F."""
     if table is not None:

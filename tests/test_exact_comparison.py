@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knotfish.errors import RadicandError
-from knotfish.torus import _cmp_to_root, _sqrt_exact
+from knotfish.torus import _cmp_to_root, _sqrt
 
 F = Fraction
 
@@ -65,17 +65,28 @@ def test_comparator_agrees_with_interval_arithmetic(lhs, coeff, rad):
     elif lhs < lo_rhs:
         assert verdict == -1
     else:
-        exact = _sqrt_exact(rad)
-        if exact is not None:
-            diff = lhs - coeff * exact
+        root, exact = _sqrt(rad, 0)
+        if exact:
+            diff = lhs - coeff * root
             assert verdict == (0 if diff == 0 else (1 if diff > 0 else -1))
 
 
 def test_sqrt_exact():
-    assert _sqrt_exact(F(49, 4)) == F(7, 2)
-    assert _sqrt_exact(F(2)) is None
-    assert _sqrt_exact(F(0)) == 0
-    assert _sqrt_exact(F(-4)) is None
+    assert _sqrt(F(49, 4), 0) == (F(7, 2), True)
+    assert _sqrt(F(2), 0)[1] is False
+    assert _sqrt(F(0), 0) == (0, True)
+    with pytest.raises(ValueError):     # callers pass f >= 0 only
+        _sqrt(F(-4), 0)
+
+
+@given(st.fractions(min_value=0, max_value=10 ** 30), st.integers(0, 300))
+def test_inexact_sqrt_is_below_the_root_within_its_bits(f, bits):
+    """root <= sqrt(f) < root (1 + 2^-bits), checked on squares."""
+    root, exact = _sqrt(f, bits)
+    if exact:
+        assert root * root == f
+    else:
+        assert root * root < f < (root * (1 + F(1, 2 ** bits))) ** 2
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**3, 10**3),

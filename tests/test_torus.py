@@ -1,3 +1,4 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from hashlib import sha256
 from math import gcd, sqrt
@@ -10,6 +11,7 @@ from knotfish.errors import (ComputationError, ConditionError, InputError,
                              NoIntegerRootError)
 from knotfish.generators import whitehead_closed_form
 from knotfish.jones import InvariantPair
+from knotfish.torus import _torus_pairs
 from knotfish.torus import (check_crossing_bounds, check_crossing_quartic,
                             check_cubic_bounds, check_unknotting_bounds,
                             crossing_recovery, pseudo_invariants, rho,
@@ -296,5 +298,66 @@ def test_recovery_outcomes_are_pinned_on_a_grid():
             if gcd(p, q) == 1:
                 pairs += [_torus_pair((p, q), False), _torus_pair((p, q), True)]
     digest = sha256(_recovery_outcomes(pairs).encode()).hexdigest()
-    assert digest == ("356027283c088b26fa9e707c42c0c90b"
-                      "102391f6f02df3eb046a723fee2a75c4")
+    assert digest == ("2bdf363a7209653049ef4a33cc766dbc"
+                      "8fa22604fb2b94ce28298371f72e8b53")
+
+
+def _decimal_recovery(pair):
+    """(u~, c~) in 150-digit decimal arithmetic: an independent reference
+    for the once-rounded recoveries."""
+    with localcontext() as ctx:
+        ctx.prec = 150
+        v2 = Decimal(pair.v2)
+        r = abs(Decimal(6 * pair.v3) / v2)
+        s_plus = ((r + 1) ** 2 - 24 * v2).sqrt()
+        s_minus = ((r - 1) ** 2 - 24 * v2).sqrt()
+        return (1 + r - s_plus) / 2, r - (s_minus + s_plus) / 2
+
+
+def test_recoveries_are_correctly_rounded():
+    """On a sample of the pinned grid and on large pairs, where rho cancels
+    against roots of almost its size: an int is the exact value, and a
+    float is the nearest float to the value."""
+    pairs = [InvariantPair(v2, v3)
+             for v2 in range(-24, 25, 2) for v3 in range(-150, 151, 3)]
+    pairs += [InvariantPair(v2, v3) for v2 in (1, 3, 7, 16, 25)
+              for v3 in (10 ** 8, 10 ** 20, 10 ** 40 + 1, -10 ** 60)]
+    # rho = 0 and |v2| large: the roots are carried as ints, yet are not exact
+    pairs += [InvariantPair(-10 ** k, v3) for k in (30, 45, 60) for v3 in (0, 1)]
+    assert pseudo_invariants(InvariantPair(7, 10 ** 20)) == (4.9e-19, 9.8e-19)
+    assert pseudo_invariants(InvariantPair(3, 10 ** 8)) == (
+        8.999999955000005e-08, 1.8000000000000008e-07)       # 9e-08, 1.8e-07
+    checked = 0
+    for pair in pairs:
+        got = _outcome(pseudo_invariants, pair)
+        if got is None:
+            continue
+        assert crossing_recovery(pair) == got[1]
+        for value, ref in zip(got, _decimal_recovery(pair)):
+            if type(value) is int:
+                assert value == ref, (pair, value, ref)
+            else:
+                assert type(value) is float and value == float(ref), (pair, value, ref)
+                checked += 1
+    assert checked > 1000
+
+
+def test_recovery_beyond_the_float_range_is_a_computation_error():
+    for f in (crossing_recovery, pseudo_invariants):
+        with pytest.raises(ComputationError) as info:
+            f(InvariantPair(-10 ** 700, 0))
+        assert str(info.value) == "recovered value too large for a float"
+
+
+def test_torus_pairs_match_the_linear_search():
+    """Looping p - 1 to isqrt(n) finds what looping it to n finds."""
+    for n in range(1, 3001):
+        divisors = [a for a in range(1, n + 1) if n % a == 0]
+        for shift in (0, 1):
+            linear = [(a + 1, n // a + shift) for a in divisors
+                      if a + 1 < n // a + shift and gcd(a + 1, n // a + shift) == 1]
+            assert list(_torus_pairs(n, shift)) == linear, (n, shift)
+    n = 10 ** 12                    # divisors 2^i 5^j
+    divisors = sorted(2 ** i * 5 ** j for i in range(13) for j in range(13))
+    assert list(_torus_pairs(n, 0)) == [
+        (a + 1, n // a) for a in divisors if a + 1 < n // a and gcd(a + 1, n // a) == 1]
