@@ -55,6 +55,8 @@ _ABOVE_CAP = "tests/test_jones.py::test_gauss_formulas_above_the_bracket_cap"
 _MOVES = "tests/test_reidemeister.py::test_invariants_unchanged_by_reidemeister_moves"
 _RANDOM_TUPLES = "tests/test_diagram.py::test_validator_matches_reference_on_random_tuples"
 _ROUNDED = "tests/test_torus.py::test_recoveries_are_correctly_rounded"
+_WALKS = "tests/test_diagram.py::test_walk_builder_matches_the_validator"
+_MIRROR = "tests/test_diagram.py::test_mirror_matches_the_validator"
 
 MUTANTS = (
     # v2_v3: one per branch condition or inner-loop break.
@@ -74,8 +76,9 @@ MUTANTS = (
            "elif ub and la < lb:", "elif ub:", (_ABOVE_CAP, _MOVES)),
     # diagram validation and the walk
     Mutant("skip-check-planar", "src/knotfish/diagram.py",
-           "    _check_planar(labels, ne)\n", "",
-           ("tests/test_diagram.py::test_nonplanar_code_rejected", _RANDOM_TUPLES,
+           "orientation inconsistent\")\n\n    _check_planar(labels, ne)\n",
+           "orientation inconsistent\")\n\n",
+           ("tests/test_diagram.py::test_nonplanar_pd_code_rejected", _RANDOM_TUPLES,
             _MOVES)),
     Mutant("eager-under-in-edge-error", "src/knotfish/diagram.py",
            "        if entered[a] and not twice:        # the under in-edge\n"
@@ -91,6 +94,14 @@ MUTANTS = (
            "            raise ValidationError(\n"
            "                f\"edge {o} enters two crossings; orientation inconsistent\")\n",
            (_RANDOM_TUPLES,)),
+    # the direct walk and mirror builders
+    Mutant("walk-skips-check-planar", "src/knotfish/diagram.py",
+           "signs.append(sign)\n    _check_planar(labels, ne)\n", "signs.append(sign)\n",
+           ("tests/test_diagram.py::test_nonplanar_code_rejected", _WALKS)),
+    Mutant("walk-sign-unnormalized", "src/knotfish/diagram.py",
+           "sign = 1 if sign1 > 0 else -1", "sign = sign1", (_WALKS,)),
+    Mutant("mirror-keeps-signs", "src/knotfish/diagram.py",
+           "tuple(-s for s in d.signs)", "d.signs", (_MIRROR,)),
     Mutant("walk-swaps-over-in-edge", "src/knotfish/diagram.py",
            "walk[(b if sign > 0 else dd) - 1] = (i, True)",
            "walk[(dd if sign > 0 else b) - 1] = (i, True)", (_RANDOM_TUPLES,)),
@@ -126,6 +137,12 @@ MUTANTS = (
     Mutant("torus-pairs-stop-short", "src/knotfish/torus.py",
            "range(1, math.isqrt(n) + 1)", "range(1, math.isqrt(n) - 1 + 1)",
            ("tests/test_torus.py::test_torus_pairs_match_the_linear_search",)),
+    Mutant("lattice-limit-dropped", "src/knotfish/torus.py",
+           "if n > _TORUS_PAIRS_LIMIT:", "if False:",
+           ("tests/test_torus.py::test_torus_pairs_refuse_values_above_the_limit",)),
+    Mutant("recovered-crossing-from-u", "src/knotfish/torus.py",
+           "recovered_crossing=pseudo[1]", "recovered_crossing=pseudo[0]",
+           ("tests/test_torus.py::test_proposition_sweep_exact",)),
 )
 
 

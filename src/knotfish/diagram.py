@@ -30,8 +30,12 @@ not stored: edge label e is the e-th visit, so ``to_gauss`` and
 Every diagram defined by a walk is built by ``diagram_from_walk`` from its
 signed walk, one (crossing key, over flag, sign) entry per visit: Gauss
 codes, connected sums and the generators' braid closures and Whitehead
-doubles.  It runs the Gauss-code checks once and hands the flat PD labels
-to ``_from_labels``.
+doubles.  It runs the Gauss-code checks once, lays out the flat labels and
+the signs itself and checks planarity only: the walk already guarantees
+everything else ``_from_labels`` checks.  ``mirror`` rotates each tuple
+and negates the signs, which keeps a valid diagram valid, so it checks
+nothing.  ``_from_labels`` is the one validator of PD labels, behind
+``parse_pd`` and ``Diagram.from_tuples``.
 
 ``GaussCode`` is a ``typing.NamedTuple`` record: immutable, with a named
 field, and equal to the plain tuple of its value.
@@ -195,7 +199,8 @@ def _walk(d: Diagram) -> list[tuple[int, bool]]:
 
     Edge label e is the e-th visit: edge e enters the crossing visited
     e-th, under by its first label, over by its second (sign +1) or fourth
-    (sign -1).  ``_from_labels`` proved the in-edges are 1..2n, once each.
+    (sign -1).  Every builder leaves the in-edges 1..2n, once each:
+    ``_from_labels`` checks it, and the walk and the mirror guarantee it.
     """
     walk = [None] * d.edge_count
     for i, ((a, b, _, dd), sign) in enumerate(zip(_quads(d.labels), d.signs)):
@@ -330,15 +335,29 @@ def diagram_from_walk(walk) -> Diagram:
     ``walk`` is a sequence of (crossing key, over flag, sign), one entry
     per visit along the knot; edge j is the in-edge of the j-th visit
     (1-based, wrapping).  Each key must appear twice, once over and once
-    under, with one sign, or GaussSyntaxError is raised; the sign fixes
-    the slot of the incoming over-strand.  Crossings are emitted in order
-    of first visit, and ``_from_labels`` validates the result.
+    under, with one sign, or GaussSyntaxError is raised, key by key in
+    order of first visit; the sign fixes the slot of the incoming
+    over-strand, and is stored as 1 if it is > 0, else -1.  Crossings are
+    emitted in order of first visit.
+
+    Only planarity is checked once the Gauss checks pass, because the
+    walk guarantees every other check of ``_from_labels``.  With ne visits:
+    the in-edges are the positions 1..ne, once each, and the out-edges
+    p % ne + 1, once each, so every label is a positive int that appears
+    exactly twice.  The under out-edge is u_in % ne + 1.  The over pair
+    differs by 1 in the direction the sign selects, and for ne = 2 the
+    kink rule (a == d gives +1) gives the same sign in all four
+    one-crossing walks.  The in-edges are distinct.  So ``_from_labels``
+    would derive exactly these signs, or fail on planarity alone.
     """
     ne = len(walk)
+    if not ne:
+        return Diagram.unknot()
     occurrences: dict[object, list[tuple[int, bool, int]]] = {}
     for pos, (key, over, sign) in enumerate(walk, start=1):
         occurrences.setdefault(key, []).append((pos, over, sign))
     labels: list[int] = []
+    signs: list[int] = []
     for key, occ in occurrences.items():
         if len(occ) != 2:
             raise GaussSyntaxError(
@@ -351,9 +370,12 @@ def diagram_from_walk(walk) -> Diagram:
             raise GaussSyntaxError(f"sign mismatch for crossing {key}")
         u_in, o_in = (pos2, pos1) if over1 else (pos1, pos2)
         u_out, o_out = u_in % ne + 1, o_in % ne + 1
-        labels += ((u_in, o_in, u_out, o_out) if sign1 > 0
+        sign = 1 if sign1 > 0 else -1
+        labels += ((u_in, o_in, u_out, o_out) if sign > 0
                    else (u_in, o_out, u_out, o_in))
-    return _from_labels(labels)
+        signs.append(sign)
+    _check_planar(labels, ne)
+    return Diagram(tuple(labels), tuple(signs))
 
 
 def to_gauss(d: Diagram) -> GaussCode:
@@ -379,12 +401,15 @@ def mirror(d: Diagram) -> Diagram:
     """Switch every crossing over/under; the projection is unchanged.
 
     The new incoming under-strand is the old incoming over-strand, so each
-    tuple rotates to start there; all signs flip.
+    tuple rotates to start there; all signs flip.  Nothing is re-checked:
+    a cyclic rotation keeps each tuple's slots in counterclockwise order,
+    so the faces and the labels are unchanged, the under and over in-edges
+    swap, and the sign flips.  So ``mirror(d)`` is valid whenever ``d`` is.
     """
     labels: list[int] = []
     for (a, b, cc, dd), sign in zip(_quads(d.labels), d.signs):
         labels += (b, cc, dd, a) if sign > 0 else (dd, a, b, cc)
-    return _from_labels(labels)
+    return Diagram(tuple(labels), tuple(-s for s in d.signs))
 
 
 def connect_sum(d1: Diagram, d2: Diagram) -> Diagram:

@@ -341,9 +341,22 @@ def torus_curve_samples(mode: str, value: int, n: int
     return pts_pos, [(v2, -v3) for v2, v3 in pts_pos]
 
 
+# The loop below takes ~0.2 s at n = 10^12 (Python 3.11, one x86-64 core)
+# and grows as sqrt(n); factoring n would not bound it either, as n may be
+# a product of two large primes.
+_TORUS_PAIRS_LIMIT = 10 ** 12
+
+
 def _torus_pairs(n: int, shift: int):
     """Coprime 2 <= p < q with q = n/(p-1) + shift: the torus knots T(p, q)
-    with unknotting number n/2 (shift 1) or crossing number n (shift 0)."""
+    with unknotting number n/2 (shift 1) or crossing number n (shift 0).
+    InputError for n above ``_TORUS_PAIRS_LIMIT``, raised on the first
+    ``next``."""
+    if n > _TORUS_PAIRS_LIMIT:
+        name, value, limit = (("u", n // 2, _TORUS_PAIRS_LIMIT // 2) if shift
+                              else ("c", n, _TORUS_PAIRS_LIMIT))
+        raise InputError(f"torus-knot search for {name} = {value} is above "
+                         f"the limit {name} <= {limit}")
     for a in range(1, math.isqrt(n) + 1):       # p < q forces (p-1)^2 < n
         p, q = a + 1, n // a + shift
         if n % a == 0 and p < q and math.gcd(p, q) == 1:
@@ -389,6 +402,9 @@ class TorusReport(NamedTuple):
 def torus_report(t: TorusParams | tuple[int, int]) -> TorusReport:
     t = _as_torus(t, unknot_error="report applies to nontrivial torus knots")
     pair = torus_v2v3(t)
+    # (rho-1)^2 - 24 v2 = (q-p)^2 >= 0 and v2 != 0 on a torus pair, so this
+    # cannot raise, and crossing_recovery(pair) would return pseudo[1].
+    pseudo = pseudo_invariants(pair)
     return TorusReport(
         params=t,
         invariants=pair,
@@ -400,6 +416,6 @@ def torus_report(t: TorusParams | tuple[int, int]) -> TorusReport:
         crossing_bounds=check_crossing_bounds(t),
         quartic_holds=check_crossing_quartic(t),
         recovered_unknotting=unknotting_from_invariants(pair),
-        recovered_crossing=crossing_recovery(pair),
-        pseudo=pseudo_invariants(pair),
+        recovered_crossing=pseudo[1],
+        pseudo=pseudo,
     )

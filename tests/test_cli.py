@@ -286,6 +286,22 @@ def test_curves_beyond_the_float_range_are_a_computation_error(capsys, tmp_path,
     assert not target.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--crossing", 10 ** 20,
+     "c = 100000000000000000000 is above the limit c <= 1000000000000"),
+    ("--unknotting", 10 ** 70,
+     f"u = {10 ** 70} is above the limit u <= 500000000000")])
+def test_curves_above_the_lattice_search_limit_are_an_input_error(
+        capsys, tmp_path, flag, value, message):
+    """A curve that fits in a float, but whose torus knots the lattice
+    search would take hours or forever to list, is refused after its
+    samples are drawn, and writes no file."""
+    target = tmp_path / "curves.svg"
+    assert run(capsys, "curves", flag, str(value), "--svg", str(target)) == (
+        1, "", f"error: torus-knot search for {message}\n")
+    assert not target.exists()
+
+
 T25_ROW = f"3_1\t{to_pd_text(torus_pd((2, 5)))}\n"
 
 
@@ -304,8 +320,13 @@ T25_ROW = f"3_1\t{to_pd_text(torus_pd((2, 5)))}\n"
     (["pseudo", "1", str(10 ** 400)], None, (0, "u~ = 0\nc~ = 0\n", "")),
     (["pseudo", "--", str(-10 ** 700), "0"], None,
      (2, "", "computation error: recovered value too large for a float\n")),
+    (["invariants", "no-such-file"], None,
+     (1, "", "error: cannot interpret 'no-such-file': not a PD code, "
+             "Gauss code, or readable file\n")),
+    (["generate", "torus", "3"], None, (1, "", "error: generate torus needs p and q\n")),
 ], ids=["audit-violations", "row-without-tab", "pseudo-float", "whitehead-two-args",
-        "pseudo-tiny", "pseudo-underflow", "pseudo-overflow"])
+        "pseudo-tiny", "pseudo-underflow", "pseudo-overflow", "unreadable-path",
+        "torus-without-q"])
 def test_cli_run_is_pinned(capsys, tmp_path, monkeypatch, argv, table, expected):
     """Exit code, stdout and stderr of one run, with any table in file F."""
     if table is not None:

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import pd_oracle
 from conftest import TREFOIL_GAUSS, TREFOIL_PD, knot_braids
-from knotfish.diagram import (Diagram, _quads, _walk, connect_sum, mirror,
-                              parse_gauss, parse_pd, to_gauss, to_pd_text,
-                              writhe)
+from knotfish.diagram import (Diagram, _quads, _walk, connect_sum,
+                              diagram_from_walk, mirror, parse_gauss, parse_pd,
+                              to_gauss, to_pd_text, writhe)
 from knotfish.errors import (GaussSyntaxError, PDSyntaxError, ValidationError)
 from knotfish.generators import braid_closure, torus_pd, whitehead_pd
 
@@ -60,6 +60,12 @@ def test_nonplanar_code_rejected():
     # interlaced double visit: realizable only with a virtual crossing
     with pytest.raises(ValidationError, match="realizable"):
         parse_gauss("O1+O2+U1+U2+")
+
+
+def test_nonplanar_pd_code_rejected():
+    # the PD code of O1+O2+U1+U2+, read by the PD validator
+    with pytest.raises(ValidationError, match="realizable"):
+        parse_pd("PD[X(3,1,4,2),X(4,2,1,3)]")
 
 
 def test_parse_gauss_trefoil_matches_pd():
@@ -263,6 +269,8 @@ GAUSS_ERRORS = [
     ("O1+U2", "unexpected token at position 3: 'U2'"),
     ("O1+U1-", "sign mismatch for crossing 1"),
     ("O1+O1+", "crossing 1 must appear once over and once under"),
+    ("O1+U1+O2+", "crossing 2 appears 1 times (expected 2)"),
+    ("O1+U1+O1+", "crossing 1 appears 3 times (expected 2)"),
 ]
 
 
@@ -428,3 +436,117 @@ def mutated_pd_texts(draw):
 @example(f"PD[X(1,4,2,5),X({LONG},6,4,1)X]")
 def test_parse_pd_matches_reference_on_mutated_text(text):
     assert outcome(parse_pd, text) == outcome(pd_oracle.parse_pd, text)
+
+
+# -- the direct walk and mirror builders against the validator -------------
+
+def reference_from_walk(walk):
+    """``diagram_from_walk`` composed as it was before it built diagrams
+    itself: the same Gauss checks and label layout, then the full PD
+    validator, ``Diagram.from_tuples``, which derives the signs."""
+    ne = len(walk)
+    occurrences = {}
+    for pos, (key, over, sign) in enumerate(walk, start=1):
+        occurrences.setdefault(key, []).append((pos, over, sign))
+    tuples = []
+    for key, occ in occurrences.items():
+        if len(occ) != 2:
+            raise GaussSyntaxError(
+                f"crossing {key} appears {len(occ)} times (expected 2)")
+        (pos1, over1, sign1), (pos2, over2, sign2) = occ
+        if over1 == over2:
+            raise GaussSyntaxError(
+                f"crossing {key} must appear once over and once under")
+        if sign1 != sign2:
+            raise GaussSyntaxError(f"sign mismatch for crossing {key}")
+        u_in, o_in = (pos2, pos1) if over1 else (pos1, pos2)
+        u_out, o_out = u_in % ne + 1, o_in % ne + 1
+        tuples.append((u_in, o_in, u_out, o_out) if sign1 > 0
+                      else (u_in, o_out, u_out, o_in))
+    return Diagram.from_tuples(tuples)
+
+
+WALK_SIGNS = [1, -1, 2, 0]      # 2 and 0 lay out as +1 and -1
+
+
+@st.composite
+def signed_walks(draw):
+    """A signed walk: a random order of (key, over) visits, most of them
+    not planar; a one-crossing kink; or the walk of a valid code, with its
+    signs written as 1, -1 or as 2, 0.  Then, in about half, one fault: a
+    visit dropped or repeated, or its over flag or its sign changed."""
+    source = draw(st.sampled_from(["random", "kink", "valid"]))
+    if source == "valid":
+        d = Diagram.from_tuples(draw(valid_codes()))
+        shift = draw(st.sampled_from([0, 1]))
+        walk = [(i, over, d.signs[i] + shift) for i, over in _walk(d)]
+    else:
+        n = 1 if source == "kink" else draw(st.integers(0, 6))
+        visits = draw(st.permutations([(i, over) for i in range(n)
+                                       for over in (False, True)]))
+        signs = draw(st.lists(st.sampled_from(WALK_SIGNS), min_size=n, max_size=n))
+        walk = [(i, over, signs[i]) for i, over in visits]
+    fault = draw(st.sampled_from(["none"] * 4 + ["drop", "repeat", "over", "sign"]))
+    if walk and fault != "none":
+        i = draw(st.integers(0, len(walk) - 1))
+        key, over, sign = walk[i]
+        if fault == "drop":
+            del walk[i]
+        elif fault == "repeat":
+            walk.insert(draw(st.integers(0, len(walk))), walk[i])
+        elif fault == "over":
+            walk[i] = (key, not over, sign)
+        else:
+            walk[i] = (key, over, draw(st.sampled_from(WALK_SIGNS).filter(
+                lambda s: s != sign)))
+    return walk
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_walks())
+@example([])
+@example([(1, False, 2), (1, True, 2)])
+@example([(1, True, 0), (1, False, 0)])
+@example([(k, over, 2) for k, over in                   # O1+U2+O3+U1+O2+U3+
+          [(1, True), (2, False), (3, True), (1, False), (2, True), (3, False)]])
+@example([(1, True, 1), (2, True, 1), (1, False, 1), (2, False, 1)])
+@example([(1, True, 1), (1, False, 1), (2, True, 1)])
+@example([(1, True, 1), (1, False, -1), (1, True, 1)])
+def test_walk_builder_matches_the_validator(walk):
+    """The same labels and signs as the validator derives, or the same
+    error type and message."""
+    assert outcome(diagram_from_walk, walk) == outcome(reference_from_walk, walk)
+
+
+def reference_mirror(d: Diagram) -> Diagram:
+    """Each tuple rotated to start at its over in-edge, then validated."""
+    return Diagram.from_tuples(
+        (b, c, dd, a) if sign > 0 else (dd, a, b, c)
+        for (a, b, c, dd), sign in zip(_quads(d.labels), d.signs))
+
+
+def _built(build, arg):
+    """``build(arg)``, or None where the code or walk is not a knot."""
+    try:
+        return build(arg)
+    except (GaussSyntaxError, ValidationError):
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(valid_codes(), mutated_codes(), shuffled_codes,
+                 gauss_word_codes()).map(lambda t: _built(Diagram.from_tuples, t))
+       | signed_walks().map(lambda w: _built(diagram_from_walk, w)))
+@example(Diagram.unknot())
+@example(parse_pd("PD[X(1,2,2,1)]"))
+@example(parse_pd("PD[X(1,1,2,2)]"))
+def test_mirror_matches_the_validator(d):
+    if d is not None:
+        m, ref = mirror(d), reference_mirror(d)
+        assert (m.labels, m.signs) == (ref.labels, ref.signs)
+
+
+def test_mirror_matches_the_validator_on_the_corpus():
+    for d in _representation_corpus():
+        m, ref = mirror(d), reference_mirror(d)
+        assert (m.labels, m.signs) == (ref.labels, ref.signs)

@@ -11,7 +11,7 @@ from knotfish.errors import (ComputationError, ConditionError, InputError,
                              NoIntegerRootError)
 from knotfish.generators import whitehead_closed_form
 from knotfish.jones import InvariantPair
-from knotfish.torus import _torus_pairs
+from knotfish.torus import _TORUS_PAIRS_LIMIT, _torus_pairs
 from knotfish.torus import (check_crossing_bounds, check_crossing_quartic,
                             check_cubic_bounds, check_unknotting_bounds,
                             crossing_recovery, pseudo_invariants, rho,
@@ -361,3 +361,18 @@ def test_torus_pairs_match_the_linear_search():
     divisors = sorted(2 ** i * 5 ** j for i in range(13) for j in range(13))
     assert list(_torus_pairs(n, 0)) == [
         (a + 1, n // a) for a in divisors if a + 1 < n // a and gcd(a + 1, n // a) == 1]
+
+
+def test_torus_pairs_refuse_values_above_the_limit():
+    """The search runs up to n = 10^12 (~0.2 s) and refuses a larger n on
+    its first step, naming the value and the limit in u or c."""
+    assert _TORUS_PAIRS_LIMIT == 10 ** 12
+    assert next(_torus_pairs(10 ** 12, 0)) == (3, 5 * 10 ** 11)
+    assert next(_torus_pairs(10 ** 12, 1)) == (2, 10 ** 12 + 1)
+    for n, shift, message in [
+            (10 ** 12 + 1, 0, "c = 1000000000001 is above the limit c <= 1000000000000"),
+            (10 ** 12 + 2, 1, "u = 500000000001 is above the limit u <= 500000000000")]:
+        pairs = _torus_pairs(n, shift)      # a generator: nothing runs yet
+        with pytest.raises(InputError) as err:
+            next(pairs)
+        assert str(err.value) == f"torus-knot search for {message}"
